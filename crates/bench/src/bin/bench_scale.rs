@@ -33,19 +33,15 @@
 //!   counters may move (per-round heartbeats are the armed protocol's
 //!   honest cost, and are recorded, not hidden).
 //!
-//! Wall-clock ns/event is recorded for trend tooling but, as in
-//! `bench_par`, only gated loosely and only on release builds — the
-//! armed-idle tree additionally must stay within 50 % of the plain
-//! tree's fresh ns/event at the largest size.
-//!
-//! The node ladder tops out at `IBIS_BENCH_NODES` (default 1024), so the
-//! CI smoke job can run the 64→256 prefix cheaply while the committed
-//! record keeps the full 64→1024 span.
+//! Wall-clock ns/event is recorded for trend tooling but only gated
+//! loosely and only on release builds — the armed-idle tree additionally
+//! must stay within 50 % of the plain tree's fresh ns/event at the
+//! largest size.
 //!
 //! Usage: `bench_scale [--check <baseline.json>] [output-path]`
 //! (default `BENCH_scale.json`).
 
-use ibis_bench::{bench_nodes, json};
+use ibis_bench::json;
 use ibis_cluster::prelude::*;
 use ibis_core::SfqD2Config;
 use ibis_faults::{FaultSchedule, FaultsConfig};
@@ -97,12 +93,8 @@ impl Mode {
     }
 }
 
-/// The ladder: every size up to `IBIS_BENCH_NODES` (default: the full
-/// 64→1024 span).
-fn sizes() -> Vec<u32> {
-    let cap = bench_nodes(1024).max(64);
-    [64u32, 256, 1024].into_iter().filter(|&n| n <= cap).collect()
-}
+/// The node ladder: 64 → 256 → 1024.
+const SIZES: [u32; 3] = [64, 256, 1024];
 
 /// Constant per-node workload density: one flood tenant per four nodes,
 /// two jobs each, so doubling the cluster doubles the tenant population
@@ -139,9 +131,9 @@ fn experiment(nodes: u32, mode: Mode) -> Experiment {
             latency: SimDuration::from_millis(2),
         },
         auto_reference: false,
-        // Deterministic run: keep env-read subsystems pinned off, as in
-        // bench_par, so IBIS_OBS / IBIS_METRICS / IBIS_FAULTS cannot
-        // skew the traffic counters.
+        // Deterministic run: keep env-read subsystems pinned off so
+        // IBIS_OBS / IBIS_METRICS / IBIS_FAULTS cannot skew the traffic
+        // counters.
         obs: ibis_obs::ObsConfig::default(),
         metrics: ibis_metrics::MetricsConfig::default(),
         faults,
@@ -367,9 +359,8 @@ fn main() {
         }
     }
 
-    let sizes = sizes();
     let mut cells = Vec::new();
-    for &nodes in &sizes {
+    for nodes in SIZES {
         for mode in [Mode::Flat, Mode::Tree, Mode::TreeFt] {
             eprintln!("[bench_scale] {nodes}-node run, {} broker ...", mode.label());
             let cell = run_cell(nodes, mode);
@@ -389,7 +380,7 @@ fn main() {
     let mut w = json::bench_writer("scale");
     w.number(Some("rack_size"), RACK as f64);
     w.open_array(Some("nodes"));
-    for &n in &sizes {
+    for n in SIZES {
         w.number(None, n as f64);
     }
     w.close();

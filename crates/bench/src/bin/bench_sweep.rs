@@ -17,12 +17,7 @@
 //! the host has no more cores than the pass's worker count, the
 //! "parallel" pass just time-slices one core and the ratio measures
 //! scheduler overhead, not the sweep engine — `speedup_meaningful` is
-//! `false` and the number must not be gated on. The worker count is the
-//! *effective* one: with intra-run partitioning active
-//! (`IBIS_PARTITIONS`, DESIGN.md §14) each run consumes several pool
-//! workers, so `IBIS_JOBS` alone under-counts the live threads — the
-//! record reports the [`ibis_core::WorkerBudget`] split
-//! (`sweep_jobs × per_run_workers`).
+//! `false` and the number must not be gated on.
 //!
 //! Usage: `bench_sweep [output-path]` (default `BENCH_sweep.json`).
 
@@ -183,13 +178,7 @@ fn main() {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(4);
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // The parallel pass's real thread count: `IBIS_JOBS` is a *budget*,
-    // shared with any intra-run partition workers. With
-    // `IBIS_PARTITIONS=4`, `IBIS_JOBS=8` runs 2 experiments × 4 workers —
-    // still 8 live threads, but a core-budget report that read only
-    // `par_jobs` would call an 8-core host saturated by a 2-job sweep.
-    let budget = ibis_core::env::WorkerBudget::new(par_jobs, ibis_core::env::partitions_from_env());
+    let cores = ibis_core::env::available_cores();
 
     eprintln!("[bench_sweep] timing suite at IBIS_JOBS=1 ...");
     let serial_secs = time_suite(1);
@@ -207,21 +196,18 @@ fn main() {
     let table_hash_ns = time_lifecycle(|| hash_tables.step());
     let table_improvement_pct = (1.0 - slab_ns / table_hash_ns) * 100.0;
 
-    // A "speedup" measured with fewer cores than effective workers is
-    // host saturation, not the sweep engine: record it, but mark it so no
-    // gate treats a time-sliced ratio as a regression.
+    // A "speedup" measured with no more cores than sweep workers is host
+    // saturation, not the sweep engine: record it, but mark it so no gate
+    // treats a time-sliced ratio as a regression.
     let speedup = serial_secs / parallel_secs;
-    let speedup_meaningful = cores > budget.effective_workers();
+    let speedup_meaningful = cores > par_jobs;
 
     let mut w = json::bench_writer("sweep");
     w.string(Some("scale"), ScaleProfile::from_env().label());
     w.number(Some("host_cores"), cores as f64);
     w.open_object(Some("suite_wall_clock"));
     w.number(Some("experiments"), suite().len() as f64);
-    w.number(Some("requested_jobs"), par_jobs as f64);
-    w.number(Some("sweep_jobs"), budget.sweep_jobs() as f64);
-    w.number(Some("per_run_workers"), budget.per_run as f64);
-    w.number(Some("effective_workers"), budget.effective_workers().min(cores) as f64);
+    w.number(Some("par_jobs"), par_jobs as f64);
     w.number(Some("jobs_1_secs"), serial_secs);
     w.number(Some(&format!("jobs_{par_jobs}_secs")), parallel_secs);
     w.number(Some("speedup"), speedup);

@@ -40,7 +40,7 @@ const GEN_FLOOR_JOBS_PER_SEC: f64 = 100_000.0;
 
 /// Maximum tolerated regression vs the committed baseline, in percent.
 /// Wall-clock generation rates wobble with host load, so the margin is
-/// wide, as in `bench_par`.
+/// wide.
 const REGRESSION_PCT: f64 = 40.0;
 
 /// Timed generation repetitions (after one warm-up).

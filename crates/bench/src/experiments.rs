@@ -79,20 +79,29 @@ pub fn run_thunk(f: impl FnOnce() -> RunReport + Send + 'static) -> RunThunk {
     Box::new(f)
 }
 
+/// How many of the auditor's retained violations [`audit_recording`]
+/// names.
+const NAMED_VIOLATIONS: usize = 5;
+
 /// Audits a run's flight recording, when one was captured (`IBIS_OBS=1`
 /// or an explicit `ClusterConfig::obs`). Prints the auditor summary and
-/// panics on any invariant violation, so a traced figure run doubles as a
-/// fairness regression check. A no-op for untraced runs.
+/// the first few violations (node, device, time and detail each), and
+/// panics with the same text on any invariant violation, so a traced
+/// figure run doubles as a fairness regression check that says where it
+/// broke. A no-op for untraced runs.
 pub fn audit_recording(label: &str, r: &RunReport) {
     let Some(rec) = r.recording.as_ref() else {
         return;
     };
     let mut report = ibis_obs::audit(rec, &ibis_obs::AuditConfig::default());
-    let summary = report.summary();
-    println!("[audit {label}] {summary}");
+    let mut text = format!("[audit {label}] {}", report.summary());
+    for v in report.violations.iter().take(NAMED_VIOLATIONS) {
+        text.push_str(&format!("\n[audit {label}]   {v}"));
+    }
+    println!("{text}");
     assert!(
         report.passed(),
-        "{label}: recorded run violates fairness invariants: {summary}"
+        "{label}: recorded run violates fairness invariants:\n{text}"
     );
 }
 
@@ -126,6 +135,38 @@ mod tests {
         assert!(!c.coordination);
         let c = ssd_cluster(sfqd2());
         assert!(matches!(c.hdfs_device, DeviceSpec::Ssd(_)));
+    }
+
+    #[test]
+    fn audit_names_the_first_violation() {
+        use ibis_obs::{EventKind, FlightRecorder, ObsEvent, RecordingMeta};
+        use ibis_simcore::SimTime;
+        let mut rec = FlightRecorder::new(1, 64);
+        for (at, io, start_tag) in [(0, 0, 5.0), (1_000, 1, 4.0)] {
+            rec.record(ObsEvent {
+                at: SimTime::from_nanos(at),
+                node: 0,
+                dev: 0,
+                kind: EventKind::Dispatched { io, app: 1, start_tag },
+            });
+        }
+        let recording = rec.finish(RecordingMeta {
+            weights: vec![(1, 1.0)],
+            sync_period_ns: 1_000_000_000,
+            nodes: 1,
+            rack_size: 0,
+        });
+        let first = ibis_obs::audit(&recording, &ibis_obs::AuditConfig::default()).violations[0]
+            .to_string();
+        assert!(first.contains("node0 dev0"), "{first}");
+        let report = RunReport {
+            recording: Some(recording),
+            ..RunReport::default()
+        };
+        let panic = std::panic::catch_unwind(|| audit_recording("regression", &report))
+            .expect_err("a start-tag regression must fail the audit");
+        let msg = panic.downcast_ref::<String>().expect("formatted panic message");
+        assert!(msg.contains(&first), "panic message does not name {first:?}: {msg}");
     }
 
     #[test]

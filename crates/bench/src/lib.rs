@@ -18,5 +18,5 @@ pub mod table;
 pub mod tables;
 
 pub use results::ResultSink;
-pub use scale::{bench_nodes, ScaleProfile};
+pub use scale::ScaleProfile;
 pub use table::Table;

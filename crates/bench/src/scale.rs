@@ -48,18 +48,6 @@ impl ScaleProfile {
     }
 }
 
-/// Reads `IBIS_BENCH_NODES` for topology-parameterized benches
-/// (`bench_par`, `bench_scale`), falling back to `default`. Unparsable
-/// or zero values fall back too — a bench should never panic over an
-/// environment typo, it should run the documented default.
-pub fn bench_nodes(default: u32) -> u32 {
-    std::env::var("IBIS_BENCH_NODES")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -70,15 +58,5 @@ mod tests {
         assert_eq!(ScaleProfile::Quick.bytes(TIB), TIB / 8);
         assert_eq!(ScaleProfile::Quick.bytes(GIB), GIB); // floor at 1 GiB
         assert_eq!(ScaleProfile::Paper.bytes(TIB), TIB);
-    }
-
-    #[test]
-    fn bench_nodes_defaults_without_env() {
-        // The test runner does not set IBIS_BENCH_NODES; the default
-        // passes through. (Env-var mutation is process-global, so the
-        // override path is covered by parsing, not by setenv here.)
-        if std::env::var("IBIS_BENCH_NODES").is_err() {
-            assert_eq!(bench_nodes(64), 64);
-        }
     }
 }

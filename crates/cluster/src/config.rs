@@ -31,9 +31,8 @@ pub enum DeviceSpec {
 impl DeviceSpec {
     /// Instantiates the device model, deriving a per-node seed (via
     /// [`ibis_simcore::rng::SimRng::stream_seed`], pure in the salt, so
-    /// nodes — and the partitions that own them — can be built in any
-    /// order) so identical disks on different nodes don't share jitter
-    /// streams.
+    /// nodes can be built in any order) so identical disks on different
+    /// nodes don't share jitter streams.
     pub fn build(&self, node_salt: u64) -> DeviceModel {
         use ibis_simcore::rng::SimRng;
         match self {
@@ -51,15 +50,6 @@ impl DeviceSpec {
                 DeviceModel::Ideal(IdealDevice::new(*bandwidth, *latency))
             }
         }
-    }
-
-    /// The conservative service-time floor of the model this spec builds
-    /// (see [`ibis_storage::Device::service_floor`]); the partitioned
-    /// engine's lookahead, exposed here so it can be derived from the
-    /// config without building a device.
-    pub fn service_floor(&self) -> SimDuration {
-        use ibis_storage::Device;
-        self.build(0).service_floor()
     }
 
     /// The paper's HDD setup.
@@ -193,13 +183,6 @@ pub struct ClusterConfig {
     /// never changes results — reports are byte-identical with tracing
     /// on or off.
     pub trace: ibis_trace::TraceConfig,
-    /// Node-group partitions a single run's device-plane work is fanned
-    /// across (DESIGN.md §14). Defaults to the environment
-    /// (`IBIS_PARTITIONS`, else 1). 1 is the exact serial engine; any
-    /// value produces a byte-identical [`crate::report::RunReport`] —
-    /// partitioning changes only wall-clock time, never results — and is
-    /// silently capped at the node count.
-    pub partitions: usize,
 }
 
 impl Default for ClusterConfig {
@@ -234,7 +217,6 @@ impl Default for ClusterConfig {
             metrics: ibis_metrics::MetricsConfig::from_env(),
             faults: ibis_faults::FaultsConfig::from_env(),
             trace: ibis_trace::TraceConfig::from_env(),
-            partitions: ibis_core::env::partitions_from_env(),
         }
     }
 }
@@ -264,15 +246,8 @@ impl ClusterConfig {
         self
     }
 
-    /// Sets the intra-run partition count (builder style). Clamped to
-    /// ≥ 1; the engine further caps it at the node count.
-    pub fn with_partitions(mut self, partitions: usize) -> Self {
-        self.partitions = partitions.max(1);
-        self
-    }
-
-    /// Enables causal tracing (builder style): span trees, the latency
-    /// attribution report, and the engine self-profile on the report.
+    /// Enables causal tracing (builder style): span trees and the latency
+    /// attribution report.
     pub fn with_trace(mut self) -> Self {
         self.trace = ibis_trace::TraceConfig::on();
         self
@@ -404,30 +379,6 @@ mod tests {
         assert!(matches!(c.policy, Policy::SfqD { depth: 4 }));
         assert!(c.coordination);
         assert!(matches!(c.hdfs_device, DeviceSpec::Ssd(_)));
-    }
-
-    #[test]
-    fn partitions_builder_clamps() {
-        let c = ClusterConfig::default().with_partitions(0);
-        assert_eq!(c.partitions, 1);
-        let c = ClusterConfig::default().with_partitions(4);
-        assert_eq!(c.partitions, 4);
-    }
-
-    #[test]
-    fn device_floor_from_spec() {
-        use ibis_simcore::SimDuration;
-        assert_eq!(
-            DeviceSpec::default_hdd().service_floor(),
-            SimDuration::ZERO
-        );
-        assert!(DeviceSpec::default_ssd().service_floor() > SimDuration::ZERO);
-        let lat = SimDuration::from_micros(300);
-        let spec = DeviceSpec::Ideal {
-            bandwidth: 150e6,
-            latency: lat,
-        };
-        assert_eq!(spec.service_floor(), lat);
     }
 
     #[test]

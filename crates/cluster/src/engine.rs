@@ -21,7 +21,6 @@
 //!   further maps finish.
 
 use crate::config::{ClusterConfig, Experiment, Workload};
-use crate::partition::{Partitioner, SharedPtr, SpinPool};
 use crate::report::{FaultSummary, JobSummary, QuerySummary, RunReport};
 use ibis_core::intern::{Symbol, SymbolTable};
 use ibis_core::scheduler::{IoScheduler, Policy};
@@ -37,10 +36,8 @@ use ibis_mapreduce::{JobId, JobManager, Step, TaskAssignment, TaskKind, TaskRef}
 use ibis_metrics::{Labels, MetricsRegistry, Sampler};
 use ibis_obs::{EventKind, FlightRecorder, ObsEvent, RecordingMeta};
 use ibis_simcore::metrics::{Histogram, TimeSeries};
-use ibis_simcore::{EventQueue, Lookahead, SimDuration, SimTime};
-use ibis_storage::{
-    profile_device, Device, DeviceModel, DeviceRequest, PsLink, ReferenceLatency, Started,
-};
+use ibis_simcore::{EventQueue, SimDuration, SimTime};
+use ibis_storage::{profile_device, Device, DeviceModel, DeviceRequest, PsLink, ReferenceLatency};
 use ibis_workloads::HiveQuery;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -258,148 +255,6 @@ struct IoCtx {
 struct CompState {
     remaining: u32,
     slot: TaskKey,
-}
-
-// ---- partitioned execution (DESIGN.md §14) -----------------------------
-
-/// Smallest window worth handing to the pool. A member's device-plane
-/// work costs on the order of 100 ns while the pool handshake costs a
-/// microsecond or two, so tiny multi-partition windows are faster run
-/// serially; the threshold only selects the execution path, never the
-/// event sequence.
-const MIN_POOL_MEMBERS: usize = 8;
-
-/// How a window member's continuation interacts with state outside its
-/// own node, pre-classified at window formation from a read-only scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MemberKind {
-    /// The I/O's side-table entry was already swept by a node crash: the
-    /// serial engine drops the event after one failed lookup, so the
-    /// member is a no-op everywhere.
-    Trivial,
-    /// The continuation only decrements credit counters (an `AsyncDone`
-    /// that neither unblocks nor finishes its task; a `WritePart` that
-    /// does not retire its composite): processing it cannot schedule
-    /// events or touch any node's device plane.
-    Inert,
-    /// The continuation may advance a task, pump a pipeline chain, or
-    /// issue new I/O anywhere in the cluster: legal only as the window's
-    /// final member.
-    Terminal,
-}
-
-/// One device completion admitted to the current execution window, with
-/// its [`IoCtx`] fields captured at formation time so the parallel phase
-/// never touches the shared side table (nothing mutates an in-service
-/// I/O's context between dispatch and completion, so the captured values
-/// are exactly what the serial engine would read).
-#[derive(Clone, Copy)]
-struct Member {
-    at: SimTime,
-    node: u32,
-    dev: usize,
-    io: IoKey,
-    class: MemberKind,
-    /// The continuation, captured at formation (`None` iff `Trivial`).
-    /// Cached so the same-task / same-composite scans in `classify` touch
-    /// only this window, not the arena.
-    cont: Option<Cont>,
-    app: AppId,
-    kind: IoKind,
-    bytes: u64,
-    /// Completion latency (`at - dispatched`), fixed at formation.
-    latency: SimDuration,
-    /// For a benign streaming unblock (see [`Sim::classify`]): the
-    /// `(node, device)` queue its apply-phase `advance` will submit the
-    /// next chunk into. Window formation marks that queue dirty — a later
-    /// completion on it must not join this window, because its worker
-    /// pump would run without the submit the serial engine interleaves
-    /// first.
-    unblock_target: Option<(u32, usize)>,
-}
-
-/// Everything a window member's parallel phase defers into the serial
-/// apply phase. One buffer per member, reused across windows.
-#[derive(Default)]
-struct MemberOut {
-    /// Newly started services, in the serial engine's push order (the
-    /// completion's own `Device::on_complete` starts first, then the
-    /// dispatch pump's).
-    started: Vec<Started>,
-    /// I/Os the pump dispatched; their `IoCtx::dispatched` stamps are
-    /// written in the apply phase (the side table is read-only while
-    /// workers run).
-    stamps: Vec<IoKey>,
-    /// Scheduler observability events drained after the pump.
-    obs: Vec<(SimTime, EventKind)>,
-}
-
-/// Reusable state for windowed execution: the node partitioning, the
-/// per-device lookahead floors, and the window buffers. Lives only for
-/// the duration of one partitioned [`Sim::run`]; every buffer is reused,
-/// preserving the engine's zero-allocations-per-event steady state.
-struct ParState {
-    partitioner: Partitioner,
-    /// Per-device-index conservative service floors (identical across
-    /// nodes: every node is built from the same two [`DeviceSpec`]s).
-    floors: [SimDuration; 2],
-    members: Vec<Member>,
-    /// Member indices per partition, each list in pop order.
-    per_part: Vec<Vec<u32>>,
-    outs: Vec<MemberOut>,
-    /// Device queues an admitted member's apply phase will mutate
-    /// (streaming-unblock submits). A candidate completion on a dirty
-    /// queue closes the window unpopped; a window rarely strings more
-    /// than a handful of these, so a linear scan beats a hash set.
-    dirty: Vec<(u32, usize)>,
-}
-
-impl ParState {
-    fn new(partitioner: Partitioner, floors: [SimDuration; 2]) -> Self {
-        let parts = partitioner.parts();
-        ParState {
-            partitioner,
-            floors,
-            members: Vec::new(),
-            per_part: vec![Vec::new(); parts],
-            outs: Vec::new(),
-            dirty: Vec::new(),
-        }
-    }
-}
-
-/// The partition-local slice of `device_done`: the scheduler completion
-/// callback, the device completion, and the dispatch pump — everything
-/// that only touches the member's own `(node, dev)` — with every queue
-/// push, side-table write, and recorder append deferred into `out` for
-/// the serial apply phase ([`Sim::device_done_apply`]). A free function
-/// so the worker closure borrows nothing but the node it owns.
-fn device_done_local(dq: &mut DeviceQueue, m: &Member, out: &mut MemberOut, recording: bool) {
-    out.started.clear();
-    out.stamps.clear();
-    out.obs.clear();
-    if m.class == MemberKind::Trivial {
-        return;
-    }
-    let now = m.at;
-    dq.sched.on_complete(m.app, m.kind, m.bytes, m.latency, now);
-    dq.device.on_complete(m.io.encode(), now, &mut out.started);
-    while let Some(req) = dq.sched.pop_dispatch(now) {
-        out.stamps.push(IoKey::decode(req.id));
-        dq.device.submit(
-            DeviceRequest {
-                id: req.id,
-                kind: storage_kind(req.kind),
-                stream: req.stream,
-                bytes: req.bytes,
-            },
-            now,
-            &mut out.started,
-        );
-    }
-    if recording {
-        dq.sched.take_events(&mut out.obs);
-    }
 }
 
 /// One HDFS block-pipeline chain (writer task → replica node).
@@ -684,14 +539,6 @@ pub struct Sim<A: ArenaKind = SlabArenas> {
     /// schedule the engine allocates nothing, schedules no fault events,
     /// and every guard reduces to one `is_some` branch.
     faults: Option<FaultState>,
-    /// Multi-member windows executed on the partition pool, and the
-    /// completions inside them (diagnostics; see `RunReport`).
-    par_windows: u64,
-    par_members: u64,
-    /// Wall-clock self-profile accumulators (None unless `cfg.trace`):
-    /// the event loops add phase timings here, and `build_report` stamps
-    /// the total. Pure wall-clock diagnostics — never in the canon.
-    profile: Option<ibis_trace::EngineProfile>,
 }
 
 impl<A: ArenaKind> Sim<A> {
@@ -928,7 +775,6 @@ impl<A: ArenaKind> Sim<A> {
             }
         });
 
-        let profile = cfg.trace.enabled.then(ibis_trace::EngineProfile::default);
         let mut coord = match cfg.broker_tree {
             Some(tc) => [
                 CoordPlane::Tree(BrokerTree::new(tc)),
@@ -989,13 +835,10 @@ impl<A: ArenaKind> Sim<A> {
             reference_ms,
             finished: false,
             last_event_time: SimTime::ZERO,
-            profile,
             recorder,
             obs_scratch: Vec::new(),
             metrics,
             faults,
-            par_windows: 0,
-            par_members: 0,
             rack_local_transfers: 0,
             cross_rack_transfers: 0,
         }
@@ -1108,34 +951,30 @@ impl<A: ArenaKind> Sim<A> {
     }
 
     /// Runs to completion and produces the report.
-    ///
-    /// With `cfg.partitions > 1` (`IBIS_PARTITIONS`, DESIGN.md §14) the
-    /// engine executes conservative device-plane windows on a worker
-    /// pool; the merged timeline — report, recording, metrics — is
-    /// byte-identical to the serial engine's by construction.
     pub fn run(mut self) -> RunReport {
         let wall = Instant::now();
         self.total_read = TimeSeries::new(self.cfg.series_bin);
         self.total_write = TimeSeries::new(self.cfg.series_bin);
-
-        let parts = self.cfg.partitions.max(1).min(self.cfg.nodes as usize);
-        let floors = [
-            self.cfg.hdfs_device.service_floor(),
-            self.cfg.scratch_device.service_floor(),
-        ];
-        // Windowing needs at least one device with a non-zero lookahead
-        // floor (otherwise every window is a singleton and the pool is
-        // pure overhead) and a fault schedule whose slowdowns cannot
-        // shrink service times below those floors.
-        let windowed = parts > 1
-            && floors.iter().any(|f| *f > SimDuration::ZERO)
-            && self.lookahead_sound();
-        if windowed {
-            let mut ps = ParState::new(Partitioner::new(self.cfg.nodes, parts), floors);
-            let mut pool = SpinPool::new(ps.partitioner.parts());
-            self.run_windowed(&mut ps, &mut pool);
-        } else {
-            self.run_serial();
+        while let Some((now, ev)) = self.queue.pop() {
+            // Sampling ticks are pure observers: they bypass the event and
+            // end-time accounting so a metrics-enabled run reports the
+            // same `events` and `makespan` as a disabled one.
+            if !matches!(ev, Event::MetricsSample) {
+                self.events += 1;
+                self.last_event_time = now;
+            }
+            assert!(
+                now - SimTime::ZERO <= self.cfg.max_sim_time,
+                "simulation exceeded max_sim_time at {now}: likely deadlock \
+                 ({} tasks running, {} queued events)",
+                self.tasks.len(),
+                self.queue.len()
+            );
+            self.handle(ev, now);
+            if self.submitted == self.pending.len() && self.job_mgr.all_done() {
+                self.finished = true;
+                break;
+            }
         }
         assert!(
             self.finished || self.pending.is_empty(),
@@ -1145,479 +984,6 @@ impl<A: ArenaKind> Sim<A> {
             self.last_event_time
         );
         self.build_report(wall.elapsed().as_secs_f64())
-    }
-
-    /// Per-event accounting shared by both execution modes. Sampling
-    /// ticks are pure observers: they bypass the event and end-time
-    /// accounting so a metrics-enabled run reports the same `events` and
-    /// `makespan` as a disabled one.
-    #[inline]
-    fn account_event(&mut self, is_sample: bool, now: SimTime) {
-        if !is_sample {
-            self.events += 1;
-            self.last_event_time = now;
-        }
-        assert!(
-            now - SimTime::ZERO <= self.cfg.max_sim_time,
-            "simulation exceeded max_sim_time at {now}: likely deadlock \
-             ({} tasks running, {} queued events)",
-            self.tasks.len(),
-            self.queue.len()
-        );
-    }
-
-    /// The post-event completion check shared by both execution modes;
-    /// returns true when the run is over.
-    #[inline]
-    fn check_finished(&mut self) -> bool {
-        if !self.finished && self.submitted == self.pending.len() && self.job_mgr.all_done() {
-            self.finished = true;
-        }
-        self.finished
-    }
-
-    /// Starts a self-profile stopwatch; `None` (free) when tracing is
-    /// off, so the unprofiled loops pay one branch per use.
-    #[inline]
-    fn prof_start(&self) -> Option<Instant> {
-        self.profile.is_some().then(Instant::now)
-    }
-
-    /// Banks a stopwatch into the phase accumulator `pick` selects.
-    #[inline]
-    fn prof_add(
-        &mut self,
-        t0: Option<Instant>,
-        pick: impl FnOnce(&mut ibis_trace::EngineProfile) -> &mut f64,
-    ) {
-        if let (Some(t0), Some(p)) = (t0, self.profile.as_mut()) {
-            *pick(p) += t0.elapsed().as_secs_f64();
-        }
-    }
-
-    /// The classic serial event loop.
-    fn run_serial(&mut self) {
-        if self.profile.is_none() {
-            while let Some((now, ev)) = self.queue.pop() {
-                self.account_event(matches!(ev, Event::MetricsSample), now);
-                self.handle(ev, now);
-                if self.check_finished() {
-                    break;
-                }
-            }
-            return;
-        }
-        // Profiled twin: identical event handling, plus a stopwatch per
-        // handler. Split from the plain loop so tracing-off runs never
-        // pay the timer calls.
-        while let Some((now, ev)) = self.queue.pop() {
-            self.account_event(matches!(ev, Event::MetricsSample), now);
-            let t0 = self.prof_start();
-            self.handle(ev, now);
-            self.prof_add(t0, |p| &mut p.handler_secs);
-            if self.check_finished() {
-                break;
-            }
-        }
-    }
-
-    // ---- windowed (partitioned) execution, DESIGN.md §14 ---------------
-
-    /// Whether the fault schedule is compatible with window formation: a
-    /// `DeviceSlowdown` with factor < 1 could *shrink* a service below
-    /// its device's floor, invalidating the lookahead. Factors ≥ 1 only
-    /// stretch completions further past the horizon, which is safe.
-    fn lookahead_sound(&self) -> bool {
-        self.faults.as_ref().is_none_or(|fs| {
-            fs.schedule
-                .faults()
-                .iter()
-                .all(|f| !matches!(f, Fault::DeviceSlowdown { factor, .. } if *factor < 1.0))
-        })
-    }
-
-    /// The windowed event loop: device completions are batched into
-    /// conservative windows and executed by [`Sim::run_window`]; every
-    /// other event type is handled exactly as in [`Sim::run_serial`].
-    fn run_windowed(&mut self, ps: &mut ParState, pool: &mut SpinPool) {
-        while let Some((now, ev)) = self.queue.pop() {
-            if let Event::DeviceDone { node, dev, io } = ev {
-                let t0 = self.prof_start();
-                let carried = self.form_window(ps, node, dev, io, now);
-                self.prof_add(t0, |p| &mut p.form_secs);
-                self.run_window(ps, pool);
-                if let Some((t, ev)) = carried {
-                    // The carried event precedes, in timeline order,
-                    // everything the window just scheduled (it was popped
-                    // strictly inside the horizon), so handling it here
-                    // matches the serial engine's pop order exactly.
-                    let t0 = self.prof_start();
-                    self.handle(ev, t);
-                    self.prof_add(t0, |p| &mut p.handler_secs);
-                }
-            } else {
-                self.account_event(matches!(ev, Event::MetricsSample), now);
-                let t0 = self.prof_start();
-                self.handle(ev, now);
-                self.prof_add(t0, |p| &mut p.handler_secs);
-            }
-            if self.check_finished() {
-                break;
-            }
-        }
-    }
-
-    /// Pops the maximal safe window of consecutive device completions,
-    /// starting from the already-popped first member.
-    ///
-    /// A candidate at time `t` is admitted iff `t` lies strictly below
-    /// the current horizon `start + min(service floors of the members
-    /// admitted so far)`: every event a prior member can schedule lands
-    /// at or beyond that horizon, so the admitted pop sequence is
-    /// provably the serial engine's pop sequence. Events at or past the
-    /// horizon stay queued (re-pushing a popped event would draw a
-    /// sequence number the serial engine never drew). A popped in-horizon
-    /// event of another type ends the window and is returned for
-    /// immediate serial handling; a member whose continuation is
-    /// [`MemberKind::Terminal`] ends the window as its last entry.
-    fn form_window(
-        &mut self,
-        ps: &mut ParState,
-        node: u32,
-        dev: usize,
-        io: IoKey,
-        now: SimTime,
-    ) -> Option<(SimTime, Event)> {
-        ps.members.clear();
-        ps.dirty.clear();
-        for list in &mut ps.per_part {
-            list.clear();
-        }
-        let start = now;
-        let mut lookahead = Lookahead::new(ps.floors[dev]);
-        self.account_event(false, now);
-        let first = self.classify(&ps.members, &ps.floors, now, node, dev, io);
-        ps.per_part[ps.partitioner.part_of(node)].push(0);
-        let mut terminal = first.class == MemberKind::Terminal;
-        if let Some(tq) = first.unblock_target {
-            ps.dirty.push(tq);
-        }
-        ps.members.push(first);
-        while !terminal {
-            // A completion on a queue some admitted member's apply phase
-            // will submit into must not join the window: its worker pump
-            // would run before that submit, while the serial engine
-            // interleaves submit-then-pump. The veto leaves the event
-            // queued (no sequence number drawn), so it simply opens the
-            // next window instead.
-            let dirty = &ps.dirty;
-            let admissible = |ev: &Event| {
-                !matches!(ev, Event::DeviceDone { node, dev, .. }
-                    if dirty.contains(&(*node, *dev)))
-            };
-            let horizon = lookahead.horizon(start);
-            let (t, ev) = self.queue.pop_within_if(horizon, admissible)?;
-            let Event::DeviceDone { node, dev, io } = ev else {
-                self.account_event(matches!(ev, Event::MetricsSample), t);
-                return Some((t, ev));
-            };
-            self.account_event(false, t);
-            let member = self.classify(&ps.members, &ps.floors, t, node, dev, io);
-            lookahead = lookahead.meet(Lookahead::new(ps.floors[dev]));
-            ps.per_part[ps.partitioner.part_of(node)].push(ps.members.len() as u32);
-            terminal = member.class == MemberKind::Terminal;
-            if let Some(tq) = member.unblock_target {
-                ps.dirty.push(tq);
-            }
-            ps.members.push(member);
-        }
-        None
-    }
-
-    /// Builds the window [`Member`] for a popped device completion,
-    /// classifying how its continuation interacts with shared state.
-    /// Runs at formation time, before anything in the window has
-    /// executed; the same-task / same-composite credits that *earlier
-    /// members of this window* will release are accounted by scanning
-    /// `members`, exactly as the serial engine would have seen them.
-    fn classify(
-        &self,
-        members: &[Member],
-        floors: &[SimDuration; 2],
-        at: SimTime,
-        node: u32,
-        dev: usize,
-        io: IoKey,
-    ) -> Member {
-        let mut m = Member {
-            at,
-            node,
-            dev,
-            io,
-            class: MemberKind::Trivial,
-            cont: None,
-            app: AppId(0),
-            kind: IoKind::Read,
-            bytes: 0,
-            latency: SimDuration::ZERO,
-            unblock_target: None,
-        };
-        let Some(ctx) = self.io_table.get(io) else {
-            // Swept by a node crash; the serial engine drops it too.
-            return m;
-        };
-        m.cont = Some(ctx.cont);
-        m.app = ctx.app;
-        m.kind = ctx.kind;
-        m.bytes = ctx.bytes;
-        m.latency = at - ctx.dispatched;
-        m.class = match ctx.cont {
-            Cont::AsyncDone { slot, cat } => match self.tasks.get(slot) {
-                // The serial `async_done` is a pure no-op for a dead slot.
-                None => MemberKind::Inert,
-                Some(t) => {
-                    if t.blocked_on == Some(cat) {
-                        // A window-saturated streaming task: the unblock
-                        // runs `advance`, which executes exactly one plan
-                        // step and re-blocks *if* that step is another
-                        // nonzero same-category disk chunk (the credit it
-                        // charges refills the window). Its only event
-                        // push is then the chunk's own device completion,
-                        // at ≥ `at` + the target device's floor — safe
-                        // when that floor is no smaller than any floor a
-                        // later member could shrink the horizon with.
-                        // Each prior same-slot same-category member in
-                        // the window consumes one step the same way, so
-                        // the step to vet sits `k` past the live
-                        // `step_idx`. Fault-free runs only: crashes can
-                        // park I/Os and skew the credit invariant this
-                        // reasoning leans on.
-                        let k = members
-                            .iter()
-                            .filter(|p| {
-                                matches!(p.cont,
-                                    Some(Cont::AsyncDone { slot: s, cat: c })
-                                        if s == slot && c == cat)
-                            })
-                            .count();
-                        let max_floor = floors[0].max(floors[1]);
-                        let target = match t.assignment.plan.steps.get(t.step_idx + k) {
-                            Some(Step::DiskIo { class, kind, bytes, .. }) => {
-                                let tdev = dev_of(*class);
-                                (*bytes > 0
-                                    && match kind {
-                                        IoKind::Read => cat == IoCat::Read,
-                                        IoKind::Write => cat == IoCat::IWrite,
-                                    }
-                                    && floors[tdev] >= max_floor)
-                                    .then_some((t.node, tdev))
-                            }
-                            Some(Step::RemoteRead { source, bytes, .. }) => {
-                                (*bytes > 0
-                                    && cat == IoCat::Read
-                                    && floors[DEV_HDFS] >= max_floor)
-                                    .then_some((source.0, DEV_HDFS))
-                            }
-                            _ => None,
-                        };
-                        match target {
-                            Some(tq) if self.faults.is_none() => {
-                                // The apply-phase submit mutates queue
-                                // `tq`; formation marks it dirty so no
-                                // later member's worker pump runs on it
-                                // without the submit the serial engine
-                                // interleaves first.
-                                m.unblock_target = Some(tq);
-                                MemberKind::Inert
-                            }
-                            _ => MemberKind::Terminal,
-                        }
-                    } else if t.draining {
-                        let prior = members
-                            .iter()
-                            .filter(|p| {
-                                matches!(p.cont,
-                                    Some(Cont::AsyncDone { slot: s, .. }) if s == slot)
-                            })
-                            .count() as u32;
-                        let inflight: u32 = t.inflight.iter().sum();
-                        if inflight <= prior + 1 {
-                            // This release could drain the task and
-                            // finish it: window-final.
-                            MemberKind::Terminal
-                        } else {
-                            MemberKind::Inert
-                        }
-                    } else {
-                        MemberKind::Inert
-                    }
-                }
-            },
-            Cont::WritePart { comp, chain: None } => match self.comps.get(comp) {
-                None => MemberKind::Terminal,
-                Some(c) => {
-                    let prior = members
-                        .iter()
-                        .filter(|p| {
-                            matches!(p.cont,
-                                Some(Cont::WritePart { comp: cc, chain: None }) if cc == comp)
-                        })
-                        .count() as u32;
-                    if c.remaining <= prior + 1 {
-                        // This part could retire the composite and fire
-                        // its `async_done`: window-final.
-                        MemberKind::Terminal
-                    } else {
-                        MemberKind::Inert
-                    }
-                }
-            },
-            // Chain acks, transfers, and pulls touch cluster-wide state.
-            _ => MemberKind::Terminal,
-        };
-        m
-    }
-
-    /// Executes the current window: the device-plane slice of every
-    /// member in parallel across partitions (disjoint node ranges,
-    /// disjoint output buffers, no shared mutation), then the serial
-    /// apply phase in pop order — which replays every deferred effect
-    /// exactly where the serial engine would have produced it.
-    fn run_window(&mut self, ps: &mut ParState, pool: &mut SpinPool) {
-        let n = ps.members.len();
-        // Windows confined to one partition (all singletons included) or
-        // too small to amortize the pool handshake take the unmodified
-        // serial completion path. Which path runs is pure execution
-        // strategy — both produce the identical event sequence — so the
-        // threshold can be tuned freely without a determinism risk.
-        if let Some(p) = self.profile.as_mut() {
-            p.windows += 1;
-        }
-        if n < MIN_POOL_MEMBERS
-            || ps.per_part.iter().filter(|l| !l.is_empty()).count() <= 1
-        {
-            let t0 = self.prof_start();
-            for i in 0..n {
-                let m = ps.members[i];
-                self.device_done(m.node, m.dev, m.io, m.at);
-            }
-            self.prof_add(t0, |p| &mut p.handler_secs);
-            return;
-        }
-        if ps.outs.len() < n {
-            ps.outs.resize_with(n, MemberOut::default);
-        }
-        self.par_windows += 1;
-        self.par_members += n as u64;
-        if let Some(p) = self.profile.as_mut() {
-            p.pooled_windows += 1;
-        }
-        let recording = self.recorder.is_some();
-        let t0 = self.prof_start();
-        {
-            let nodes_base = SharedPtr::new(self.nodes.as_mut_ptr());
-            let outs_base = SharedPtr::new(ps.outs.as_mut_ptr());
-            let members = &ps.members;
-            let per_part = &ps.per_part;
-            let partitioner = &ps.partitioner;
-            pool.run(&move |p: usize| {
-                let range = partitioner.range(p);
-                for &mi in &per_part[p] {
-                    let m = &members[mi as usize];
-                    debug_assert!(range.contains(&(m.node as usize)));
-                    // SAFETY: partition `p` owns the contiguous node
-                    // range `range` (each member was binned by
-                    // `part_of(node)`) and the disjoint member indices
-                    // in `per_part[p]`, so no two workers touch the same
-                    // node or the same output buffer.
-                    let node = unsafe { &mut *nodes_base.get().add(m.node as usize) };
-                    let out = unsafe { &mut *outs_base.get().add(mi as usize) };
-                    device_done_local(&mut node.devs[m.dev], m, out, recording);
-                }
-            });
-        }
-        self.prof_add(t0, |p| &mut p.device_secs);
-        let t0 = self.prof_start();
-        for i in 0..n {
-            let m = ps.members[i];
-            if m.class == MemberKind::Trivial {
-                assert!(
-                    self.faults.is_some(),
-                    "device completion for unknown io in a fault-free run"
-                );
-                continue;
-            }
-            self.device_done_apply(&m, &ps.outs[i]);
-        }
-        self.prof_add(t0, |p| &mut p.apply_secs);
-    }
-
-    /// The serial tail of [`Sim::device_done`] for one window member:
-    /// replays, in the serial engine's exact operation order, every
-    /// effect the parallel phase deferred. Must mirror `device_done` —
-    /// any divergence is a determinism bug the partition tests catch.
-    fn device_done_apply(&mut self, m: &Member, out: &MemberOut) {
-        let now = m.at;
-        let node = m.node;
-        let dev = m.dev;
-        self.io_table
-            .remove(m.io)
-            .expect("window member ctx present at apply");
-        if let Some(mst) = self.metrics.as_mut() {
-            mst.registry
-                .histogram("io_latency_ms", Labels::on(node, dev as u8), &IO_LATENCY_BOUNDS_MS)
-                .observe(m.latency.as_nanos() as f64 / 1e6);
-        }
-        if self.recorder.is_some() {
-            self.record_completion(node, dev, m.io.encode(), m.app, m.kind, m.bytes, m.latency, now);
-        }
-        self.app_latency
-            .entry(m.app)
-            .or_default()
-            .record(m.latency.as_nanos());
-        for s in &out.started {
-            self.queue.push(
-                self.stretched(s.complete_at, node, dev, now),
-                Event::DeviceDone {
-                    node,
-                    dev,
-                    io: IoKey::decode(s.id),
-                },
-            );
-        }
-        for &k in &out.stamps {
-            self.io_table
-                .get_mut(k)
-                .expect("dispatched io has ctx")
-                .dispatched = now;
-        }
-        if let Some(rec) = self.recorder.as_mut() {
-            for &(at, kind) in &out.obs {
-                rec.record(ObsEvent {
-                    at,
-                    node,
-                    dev: dev as u8,
-                    kind,
-                });
-            }
-        }
-        match m.kind {
-            IoKind::Read => {
-                self.total_read.add(now, m.bytes as f64);
-                self.app_read
-                    .entry(m.app)
-                    .or_insert_with(|| TimeSeries::new(self.cfg.series_bin))
-                    .add(now, m.bytes as f64);
-            }
-            IoKind::Write => {
-                self.total_write.add(now, m.bytes as f64);
-                self.app_write
-                    .entry(m.app)
-                    .or_insert_with(|| TimeSeries::new(self.cfg.series_bin))
-                    .add(now, m.bytes as f64);
-            }
-        }
-        self.dispatch_cont(m.cont.expect("non-trivial member has a continuation"), now);
     }
 
     fn handle(&mut self, ev: Event, now: SimTime) {
@@ -3776,18 +3142,13 @@ impl<A: ArenaKind> Sim<A> {
         // Trace assembly is post-run analysis over the sealed recording.
         // The recording itself is published only when observability asked
         // for it: with tracing alone, it exists purely to feed assembly,
-        // so the report differs from a tracing-off run only in the two
-        // trace-owned (non-canon) fields.
+        // so the report differs from a tracing-off run only in `trace`.
         let trace = if self.cfg.trace.enabled {
             recording.as_ref().map(ibis_trace::TraceReport::assemble)
         } else {
             None
         };
         let recording = if self.cfg.obs.enabled { recording } else { None };
-        let engine_profile = self.profile.take().map(|mut p| {
-            p.total_secs = wall_secs;
-            p
-        });
 
         let tenants = self
             .tenants
@@ -3866,9 +3227,6 @@ impl<A: ArenaKind> Sim<A> {
             metrics,
             faults,
             trace,
-            engine_profile,
-            par_windows: self.par_windows,
-            par_members: self.par_members,
             rack_local_transfers: self.rack_local_transfers,
             cross_rack_transfers: self.cross_rack_transfers,
         }
@@ -4158,7 +3516,6 @@ mod tests {
         for a in &trace.per_app {
             assert_eq!(a.swept_ns, a.components_sum_ns(), "exact sum per app");
         }
-        assert!(on.engine_profile.expect("profile").total_secs > 0.0);
     }
 
     #[test]

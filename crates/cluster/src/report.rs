@@ -168,17 +168,6 @@ pub struct RunReport {
     /// total) plus per-job span trees. Join tenant names via
     /// [`RunReport::tenants`] or [`RunReport::tenant_breakdown`].
     pub trace: Option<ibis_trace::TraceReport>,
-    /// Wall-clock self-profile of the engine's phases, when tracing was
-    /// enabled. Like `wall_secs`, excluded from the determinism canon.
-    pub engine_profile: Option<ibis_trace::EngineProfile>,
-    /// Multi-member execution windows run on the partition pool
-    /// (DESIGN.md §14). Zero in serial runs (`partitions == 1`). A
-    /// wall-clock diagnostic, like `wall_secs`: excluded from the
-    /// determinism canon, since the same timeline may batch differently
-    /// only in *execution*, never in results.
-    pub par_windows: u64,
-    /// Device completions executed inside those windows.
-    pub par_members: u64,
     /// Data-plane transfer events (remote-read chunks and pipeline
     /// replica chunks) that stayed inside one rack. Zero unless
     /// `ClusterConfig::rack_size` defines a topology.

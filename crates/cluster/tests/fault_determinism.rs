@@ -4,129 +4,32 @@
 //! crash with restart, and a device slowdown, all at once — must produce
 //! **byte-identical** reports across the slab and `HashMap` side-table
 //! backends, and through the parallel sweep engine at `IBIS_JOBS=1` vs
-//! `IBIS_JOBS=2`. The canonical serialization includes the flight
-//! recording, every metrics series point, and the `FaultSummary`, so any
-//! nondeterminism in crash sweeps, retry chains, or failover routing
-//! shows up as a text diff.
+//! `IBIS_JOBS=2`. The canon includes the flight recording, every metrics
+//! series point, and the `FaultSummary`, so any nondeterminism in crash
+//! sweeps, retry chains, or failover routing shows up as a text diff.
 
+mod common;
+
+use common::{chaos_schedule, faults, ideal_cluster, Canon};
 use ibis_cluster::prelude::*;
 use ibis_core::SfqD2Config;
-use ibis_faults::{FaultSchedule, FaultsConfig};
 use ibis_metrics::MetricsConfig;
 use ibis_obs::ObsConfig;
 use ibis_simcore::units::GIB;
-use ibis_simcore::{SimDuration, SimTime};
+use ibis_simcore::SimDuration;
 use ibis_workloads::{teragen, terasort, wordcount};
-use std::fmt::Write as _;
-
-/// A schedule exercising every fault kind in one run. Windows are chosen
-/// to overlap the busy phase of the small workloads below.
-fn chaos_schedule(seed: u64) -> FaultSchedule {
-    FaultSchedule::new(seed)
-        .broker_outage(SimTime::from_secs(4), SimDuration::from_secs(4))
-        .drop_reports(SimTime::ZERO, SimDuration::from_secs(3600), 3)
-        .delay_replies(
-            SimTime::from_secs(10),
-            SimDuration::from_secs(3),
-            SimDuration::from_millis(1500),
-        )
-        .node_crash(1, SimTime::from_secs(6), Some(SimDuration::from_secs(4)))
-        .device_slowdown(0, 0, 3.0, SimTime::from_secs(2), SimDuration::from_secs(5))
-}
 
 fn chaos_cluster(policy: Policy, seed: u64) -> ClusterConfig {
-    let coordinated = policy.coordinates();
     ClusterConfig {
-        nodes: 4,
-        cores_per_node: 4,
-        seed,
-        hdfs_device: DeviceSpec::Ideal {
-            bandwidth: 150e6,
-            latency: SimDuration::from_micros(300),
-        },
-        scratch_device: DeviceSpec::Ideal {
-            bandwidth: 150e6,
-            latency: SimDuration::from_micros(300),
-        },
-        auto_reference: false,
         obs: ObsConfig::enabled(1 << 18),
         metrics: MetricsConfig::enabled(SimDuration::from_millis(500)),
-        faults: FaultsConfig {
-            enabled: true,
-            schedule: chaos_schedule(0xFA17 ^ seed),
-            staleness_bound: SimDuration::from_secs(2),
-            retry_backoff: SimDuration::from_millis(100),
-            retry_limit: 3,
-        },
-        ..ClusterConfig::default()
+        faults: faults(chaos_schedule(0xFA17 ^ seed)),
+        ..ideal_cluster(policy, seed)
     }
-    .with_policy(policy)
-    .with_coordination(coordinated)
 }
 
-/// Canonical serialization of everything determinism-relevant, fault
-/// accounting included. `wall_secs` is the only excluded field.
-fn canonical_full(r: &RunReport) -> String {
-    let mut s = String::new();
-    for j in &r.jobs {
-        writeln!(
-            s,
-            "job {} app={} sub={:?} fin={:?} rt={} map={} red={}",
-            j.name,
-            j.app.0,
-            j.submitted,
-            j.finished,
-            j.runtime.as_nanos(),
-            j.map_phase.as_nanos(),
-            j.reduce_phase.as_nanos(),
-        )
-        .unwrap();
-    }
-    let mut service: Vec<(u32, u64)> = r.app_service.iter().map(|(a, &b)| (a.0, b)).collect();
-    service.sort_unstable();
-    writeln!(s, "service {service:?}").unwrap();
-    let total = |t: &Option<ibis_simcore::metrics::TimeSeries>| {
-        t.as_ref().map_or(0, |t| t.total().to_bits())
-    };
-    writeln!(s, "reads {:#x} writes {:#x}", total(&r.total_read), total(&r.total_write)).unwrap();
-    let mut lat: Vec<(u32, Option<u64>)> = r
-        .app_latency
-        .iter()
-        .map(|(a, h)| (a.0, h.quantile(0.99)))
-        .collect();
-    lat.sort_unstable();
-    writeln!(s, "p99 {lat:?}").unwrap();
-    writeln!(
-        s,
-        "broker {:?} decisions {} makespan {} events {}",
-        r.broker,
-        r.sched_decisions,
-        r.makespan.as_nanos(),
-        r.events,
-    )
-    .unwrap();
-    writeln!(s, "faults {:?}", r.faults).unwrap();
-
-    let rec = r.recording.as_ref().expect("recording enabled");
-    writeln!(s, "rec seen={} retained={}", rec.seen(), rec.len()).unwrap();
-    for e in rec.events() {
-        writeln!(s, "ev {:?} n{} d{} {:?}", e.at, e.node, e.dev, e.kind).unwrap();
-    }
-
-    let m = r.metrics.as_ref().expect("metrics enabled");
-    writeln!(s, "metrics samples={}", m.samples_taken).unwrap();
-    let mut series: Vec<&ibis_metrics::Series> = m.series.iter().collect();
-    series.sort_by(|a, b| {
-        (&a.key.name, a.key.labels).cmp(&(&b.key.name, b.key.labels))
-    });
-    for sr in series {
-        write!(s, "series {} {:?}:", sr.key.name, sr.key.labels).unwrap();
-        for &(at, v) in &sr.points {
-            write!(s, " {:?}={:#x}", at, v.to_bits()).unwrap();
-        }
-        writeln!(s).unwrap();
-    }
-    s
+fn canonical(r: &RunReport) -> String {
+    Canon::CHAOS.of(r)
 }
 
 /// Chaos runs on the engine paths that differ most: uncoordinated SFQ(D)
@@ -155,8 +58,8 @@ fn batch() -> Vec<Experiment> {
 #[test]
 fn chaos_runs_are_byte_identical_across_backends() {
     for exp in batch() {
-        let slab = canonical_full(&exp.run());
-        let hash = canonical_full(&exp.run_hashmap_reference());
+        let slab = canonical(&exp.run());
+        let hash = canonical(&exp.run_hashmap_reference());
         assert_eq!(slab, hash, "backends diverged under fault injection");
     }
 }
@@ -166,12 +69,12 @@ fn chaos_runs_are_byte_identical_across_sweep_parallelism() {
     let serial: Vec<String> = SweepRunner::with_jobs(1)
         .run_all(batch())
         .iter()
-        .map(canonical_full)
+        .map(canonical)
         .collect();
     let parallel: Vec<String> = SweepRunner::with_jobs(2)
         .run_all(batch())
         .iter()
-        .map(canonical_full)
+        .map(canonical)
         .collect();
     assert_eq!(serial, parallel, "IBIS_JOBS=1 vs =2 diverged under fault injection");
 }

@@ -4,14 +4,15 @@
 //! aggregators per rack, delta-encoded reports up, delta-encoded replies
 //! down — running a `MixConfig::flood` open-system mix under the full
 //! chaos schedule must produce **byte-identical** reports across the
-//! slab and `HashMap` side-table backends and across
-//! `IBIS_PARTITIONS ∈ {1, 4}`. The canon extends the
-//! partition-determinism serialization with the per-tenant section, the
-//! broker's per-level traffic counters, and the rack-topology transfer
-//! counters, so any nondeterminism in leaf aggregation order, delta
-//! encoding, round completion, or rack-aware placement shows up as a
-//! text diff.
+//! slab and `HashMap` side-table backends. The shared canon carries the
+//! per-tenant section, the broker's per-level traffic counters (inside
+//! `BrokerStats`'s `Debug`), and the rack-topology transfer counters, so
+//! any nondeterminism in leaf aggregation order, delta encoding, round
+//! completion, or rack-aware placement shows up as a text diff.
 
+mod common;
+
+use common::{faults, Canon};
 use ibis_cluster::prelude::*;
 use ibis_core::SfqD2Config;
 use ibis_faults::{FaultSchedule, FaultsConfig};
@@ -19,7 +20,6 @@ use ibis_metrics::MetricsConfig;
 use ibis_obs::ObsConfig;
 use ibis_simcore::{SimDuration, SimTime};
 use ibis_workgen::MixConfig;
-use std::fmt::Write as _;
 
 /// Debug builds (plain `cargo test -q`, the tier-1 pass) run the same
 /// suite at 64 nodes / 4 racks so it fits the tier-1 time budget; the
@@ -72,13 +72,7 @@ fn scale_cluster(seed: u64, chaos: bool) -> ClusterConfig {
         obs: ObsConfig::enabled(1 << 16),
         metrics: MetricsConfig::enabled(SimDuration::from_secs(20)),
         faults: if chaos {
-            FaultsConfig {
-                enabled: true,
-                schedule: chaos_schedule(0xFA17 ^ seed),
-                staleness_bound: SimDuration::from_secs(2),
-                retry_backoff: SimDuration::from_millis(100),
-                retry_limit: 3,
-            }
+            faults(chaos_schedule(0xFA17 ^ seed))
         } else {
             FaultsConfig::default()
         },
@@ -96,102 +90,22 @@ fn flood(seed: u64) -> MixConfig {
     MixConfig::flood(seed, TENANTS, 2, SimDuration::from_secs(12))
 }
 
-fn scale_experiment(seed: u64, chaos: bool, partitions: usize) -> Experiment {
-    let mut exp = Experiment::new(scale_cluster(seed, chaos).with_partitions(partitions));
+fn scale_experiment(seed: u64, chaos: bool) -> Experiment {
+    let mut exp = Experiment::new(scale_cluster(seed, chaos));
     exp.add_mix(&flood(seed ^ 0x5eed));
     exp
 }
 
-/// The partition-determinism canon plus tenants, per-level broker
-/// counters (inside `BrokerStats`'s `Debug`), and rack transfer
-/// counters. Excluded: `wall_secs`, `par_windows`, `par_members`.
-fn canonical_full(r: &RunReport) -> String {
-    let mut s = String::new();
-    for j in &r.jobs {
-        writeln!(
-            s,
-            "job {} app={} sub={:?} fin={:?} rt={}",
-            j.name,
-            j.app.0,
-            j.submitted,
-            j.finished,
-            j.runtime.as_nanos(),
-        )
-        .unwrap();
-    }
-    for t in &r.tenants {
-        write!(
-            s,
-            "tenant {} app={} w={} sub={} fin={} n={}",
-            t.name,
-            t.app.0,
-            t.weight,
-            t.submitted,
-            t.finished,
-            t.latency.count(),
-        )
-        .unwrap();
-        for q in [0.5, 0.99, 1.0] {
-            write!(s, " q{q}={:?}", t.latency.quantile(q)).unwrap();
-        }
-        writeln!(s, " mean={:#x}", t.latency.mean().to_bits()).unwrap();
-    }
-    let mut service: Vec<(u32, u64)> = r.app_service.iter().map(|(a, &b)| (a.0, b)).collect();
-    service.sort_unstable();
-    writeln!(s, "service {service:?}").unwrap();
-    let mut lat: Vec<(u32, Option<u64>)> = r
-        .app_latency
-        .iter()
-        .map(|(a, h)| (a.0, h.quantile(0.99)))
-        .collect();
-    lat.sort_unstable();
-    writeln!(s, "p99 {lat:?}").unwrap();
-    writeln!(
-        s,
-        "broker {:?} decisions {} makespan {} events {}",
-        r.broker,
-        r.sched_decisions,
-        r.makespan.as_nanos(),
-        r.events,
-    )
-    .unwrap();
-    writeln!(
-        s,
-        "racks local={} cross={}",
-        r.rack_local_transfers, r.cross_rack_transfers
-    )
-    .unwrap();
-    writeln!(s, "faults {:?}", r.faults).unwrap();
-
-    let rec = r.recording.as_ref().expect("recording enabled");
-    writeln!(s, "rec seen={} retained={}", rec.seen(), rec.len()).unwrap();
-    for e in rec.events() {
-        writeln!(s, "ev {:?} n{} d{} {:?}", e.at, e.node, e.dev, e.kind).unwrap();
-    }
-
-    let m = r.metrics.as_ref().expect("metrics enabled");
-    writeln!(s, "metrics samples={}", m.samples_taken).unwrap();
-    let mut series: Vec<&ibis_metrics::Series> = m.series.iter().collect();
-    series.sort_by(|a, b| (&a.key.name, a.key.labels).cmp(&(&b.key.name, b.key.labels)));
-    for sr in series {
-        write!(s, "series {} {:?}:", sr.key.name, sr.key.labels).unwrap();
-        for &(at, v) in &sr.points {
-            write!(s, " {:?}={:#x}", at, v.to_bits()).unwrap();
-        }
-        writeln!(s).unwrap();
-    }
-    s
-}
-
 #[test]
-fn tree_broker_chaos_run_is_byte_identical_across_partitions_and_backends() {
-    let serial = scale_experiment(9, true, 1).run();
+fn tree_broker_chaos_run_is_byte_identical_across_backends() {
+    let exp = scale_experiment(9, true);
+    let slab = exp.run();
     // The run really coordinated through the tree: scheduler reports
     // reached rack leaves, aggregator traffic flowed on level 1, the
     // rack topology steered transfers, and the chaos schedule fired.
-    assert!(serial.broker.reports > 0, "no scheduler reports reached a leaf");
-    assert!(serial.broker.agg_msgs > 0, "no leaf→root aggregator traffic");
-    let faults = serial.faults.expect("chaos active");
+    assert!(slab.broker.reports > 0, "no scheduler reports reached a leaf");
+    assert!(slab.broker.agg_msgs > 0, "no leaf→root aggregator traffic");
+    let faults = slab.faults.expect("chaos active");
     assert!(faults.crashes > 0);
     // The rack-scoped fault paths really fired: a leaf aggregator crashed
     // and restarted, a rack partitioned, wire-level dup/reorder faults
@@ -203,24 +117,12 @@ fn tree_broker_chaos_run_is_byte_identical_across_partitions_and_backends() {
     assert!(faults.dup_reports > 0, "no duplicated reports");
     assert!(faults.reorder_reports > 0, "no reordered reports");
     assert!(faults.resyncs > 0, "protocol never ran a snapshot resync");
-    assert!(serial.broker.resyncs > 0, "tree stats saw no resyncs");
-    assert!(serial.broker.dup_ignored > 0, "no duplicate was ever ignored");
-    assert!(serial.rack_local_transfers > 0, "rack topology saw no local transfers");
-    let canon = canonical_full(&serial);
-
-    let windowed = scale_experiment(9, true, 4).run();
-    assert!(
-        windowed.par_windows > 0,
-        "IBIS_PARTITIONS=4 never formed a multi-partition window"
-    );
+    assert!(slab.broker.resyncs > 0, "tree stats saw no resyncs");
+    assert!(slab.broker.dup_ignored > 0, "no duplicate was ever ignored");
+    assert!(slab.rack_local_transfers > 0, "rack topology saw no local transfers");
     assert_eq!(
-        canon,
-        canonical_full(&windowed),
-        "tree-broker chaos run diverged between IBIS_PARTITIONS=1 and =4"
-    );
-    assert_eq!(
-        canon,
-        canonical_full(&scale_experiment(9, true, 4).run_hashmap_reference()),
+        Canon::CHAOS.of(&slab),
+        Canon::CHAOS.of(&exp.run_hashmap_reference()),
         "tree-broker chaos run diverged between slab and HashMap backends"
     );
 }

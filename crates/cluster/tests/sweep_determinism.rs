@@ -1,38 +1,22 @@
 //! The sweep engine's core guarantee: a batch fanned across worker
 //! threads produces **byte-identical** reports to the serial loop, at any
 //! width. Each experiment is a self-contained simulation, so the only
-//! thing parallelism may change is wall-clock time — `wall_secs` is the
-//! one report field excluded from the canonical serialization below.
+//! thing parallelism may change is wall-clock time — `wall_secs`, which
+//! the shared canon never serializes.
 //!
 //! CI runs this suite under `IBIS_JOBS=2` so the env-selected path is
 //! exercised too (see `env_selected_width_matches_serial`).
 
+mod common;
+
+use common::{ideal_cluster, Canon};
 use ibis_cluster::prelude::*;
 use ibis_core::SfqD2Config;
 use ibis_simcore::units::GIB;
-use ibis_simcore::SimDuration;
 use ibis_workloads::{terasort, wordcount};
-use std::fmt::Write as _;
 
-fn ideal_cluster(policy: Policy, seed: u64) -> ClusterConfig {
-    let coordinated = policy.coordinates();
-    ClusterConfig {
-        nodes: 4,
-        cores_per_node: 4,
-        seed,
-        hdfs_device: DeviceSpec::Ideal {
-            bandwidth: 150e6,
-            latency: SimDuration::from_micros(300),
-        },
-        scratch_device: DeviceSpec::Ideal {
-            bandwidth: 150e6,
-            latency: SimDuration::from_micros(300),
-        },
-        auto_reference: false,
-        ..ClusterConfig::default()
-    }
-    .with_policy(policy)
-    .with_coordination(coordinated)
+fn canonical(r: &RunReport) -> String {
+    Canon::BASE.of(r)
 }
 
 /// A representative batch: different policies, seeds, and job mixes, so
@@ -58,55 +42,6 @@ fn batch() -> Vec<Experiment> {
             exp
         })
         .collect()
-}
-
-/// Canonical, deterministic serialization of a report. Every field except
-/// `wall_secs` (wall-clock, legitimately run-dependent) is included;
-/// hash-map-backed fields are emitted in sorted key order.
-fn canonical(r: &RunReport) -> String {
-    let mut s = String::new();
-    for j in &r.jobs {
-        writeln!(
-            s,
-            "job {} app={} sub={:?} fin={:?} rt={} map={} red={}",
-            j.name,
-            j.app.0,
-            j.submitted,
-            j.finished,
-            j.runtime.as_nanos(),
-            j.map_phase.as_nanos(),
-            j.reduce_phase.as_nanos(),
-        )
-        .unwrap();
-    }
-    for q in &r.queries {
-        writeln!(s, "query {} app={} rt={}", q.name, q.first_app.0, q.runtime.as_nanos()).unwrap();
-    }
-    let mut service: Vec<(u32, u64)> = r.app_service.iter().map(|(a, &b)| (a.0, b)).collect();
-    service.sort_unstable();
-    writeln!(s, "service {service:?}").unwrap();
-    let total = |t: &Option<ibis_simcore::metrics::TimeSeries>| {
-        t.as_ref().map_or(0, |t| t.total().to_bits())
-    };
-    writeln!(s, "reads {:#x} writes {:#x}", total(&r.total_read), total(&r.total_write)).unwrap();
-    let mut lat: Vec<(u32, Option<u64>)> = r
-        .app_latency
-        .iter()
-        .map(|(a, h)| (a.0, h.quantile(0.99)))
-        .collect();
-    lat.sort_unstable();
-    writeln!(s, "p99 {lat:?}").unwrap();
-    writeln!(
-        s,
-        "broker {:?} decisions {} makespan {} events {} refs {:?}",
-        r.broker,
-        r.sched_decisions,
-        r.makespan.as_nanos(),
-        r.events,
-        r.reference_latencies_ms.map(|a| a.map(f64::to_bits)),
-    )
-    .unwrap();
-    s
 }
 
 #[test]

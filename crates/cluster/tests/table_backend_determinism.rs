@@ -8,6 +8,9 @@
 //! id-assignment drift — and the guarantee must hold through the parallel
 //! sweep engine at `IBIS_JOBS=2`.
 
+mod common;
+
+use common::{ideal_cluster, Canon};
 use ibis_cluster::prelude::*;
 use ibis_core::SfqD2Config;
 use ibis_metrics::MetricsConfig;
@@ -15,115 +18,34 @@ use ibis_obs::ObsConfig;
 use ibis_simcore::units::GIB;
 use ibis_simcore::SimDuration;
 use ibis_workloads::{teragen, terasort, wordcount};
-use std::fmt::Write as _;
 
 fn observed_cluster(policy: Policy, seed: u64) -> ClusterConfig {
-    let coordinated = policy.coordinates();
     ClusterConfig {
-        nodes: 4,
-        cores_per_node: 4,
-        seed,
-        hdfs_device: DeviceSpec::Ideal {
-            bandwidth: 150e6,
-            latency: SimDuration::from_micros(300),
-        },
-        scratch_device: DeviceSpec::Ideal {
-            bandwidth: 150e6,
-            latency: SimDuration::from_micros(300),
-        },
-        auto_reference: false,
         // Both observers on: the recording's event stream and the metrics
         // series are the most id- and order-sensitive outputs the engine
         // has, so they are exactly what a backend divergence would hit.
         obs: ObsConfig::enabled(1 << 18),
         metrics: MetricsConfig::enabled(SimDuration::from_millis(500)),
-        ..ClusterConfig::default()
+        ..ideal_cluster(policy, seed)
     }
-    .with_policy(policy)
-    .with_coordination(coordinated)
 }
 
-/// Canonical serialization of *everything* determinism-relevant in a
-/// report: the sweep test's fields plus the obs recording and the metrics
-/// capture. `wall_secs` is the only excluded field (wall clock).
-fn canonical_full(r: &RunReport) -> String {
-    let mut s = String::new();
-    for j in &r.jobs {
-        writeln!(
-            s,
-            "job {} app={} sub={:?} fin={:?} rt={} map={} red={}",
-            j.name,
-            j.app.0,
-            j.submitted,
-            j.finished,
-            j.runtime.as_nanos(),
-            j.map_phase.as_nanos(),
-            j.reduce_phase.as_nanos(),
-        )
-        .unwrap();
-    }
-    for q in &r.queries {
-        writeln!(s, "query {} app={} rt={}", q.name, q.first_app.0, q.runtime.as_nanos()).unwrap();
-    }
-    let mut service: Vec<(u32, u64)> = r.app_service.iter().map(|(a, &b)| (a.0, b)).collect();
-    service.sort_unstable();
-    writeln!(s, "service {service:?}").unwrap();
-    let total = |t: &Option<ibis_simcore::metrics::TimeSeries>| {
-        t.as_ref().map_or(0, |t| t.total().to_bits())
-    };
-    writeln!(s, "reads {:#x} writes {:#x}", total(&r.total_read), total(&r.total_write)).unwrap();
-    let mut lat: Vec<(u32, Option<u64>)> = r
-        .app_latency
-        .iter()
-        .map(|(a, h)| (a.0, h.quantile(0.99)))
-        .collect();
-    lat.sort_unstable();
-    writeln!(s, "p99 {lat:?}").unwrap();
-    writeln!(
-        s,
-        "broker {:?} decisions {} makespan {} events {}",
-        r.broker,
-        r.sched_decisions,
-        r.makespan.as_nanos(),
-        r.events,
-    )
-    .unwrap();
-
-    // Flight recording: every event verbatim, in ring order. Ids inside
-    // the events are encoded slab keys, so identical text means identical
-    // key assignment, not just identical timing.
-    let rec = r.recording.as_ref().expect("recording enabled");
-    writeln!(s, "rec seen={} retained={}", rec.seen(), rec.len()).unwrap();
-    for e in rec.events() {
-        writeln!(s, "ev {:?} n{} d{} {:?}", e.at, e.node, e.dev, e.kind).unwrap();
-    }
-
-    // Metrics: every series point of every instrument, bit-exact.
-    let m = r.metrics.as_ref().expect("metrics enabled");
-    writeln!(s, "metrics samples={}", m.samples_taken).unwrap();
-    let mut series: Vec<&ibis_metrics::Series> = m.series.iter().collect();
-    series.sort_by(|a, b| {
-        (&a.key.name, a.key.labels).cmp(&(&b.key.name, b.key.labels))
-    });
-    for sr in series {
-        write!(s, "series {} {:?}:", sr.key.name, sr.key.labels).unwrap();
-        for &(at, v) in &sr.points {
-            write!(s, " {:?}={:#x}", at, v.to_bits()).unwrap();
-        }
-        writeln!(s).unwrap();
-    }
-    s
+fn canonical(r: &RunReport) -> String {
+    Canon::OBSERVED.of(r)
 }
 
 /// Mixed workloads across the policies whose engine paths differ most:
-/// Native (no interposition), SFQ(D), and coordinated SFQ(D2).
+/// Native (no interposition), SFQ(D), and coordinated SFQ(D2); plus the
+/// streaming regime: 8 nodes, wide per-task read windows and 1 MiB chunks
+/// over a 2 ms device latency, so many read-ahead completions unblock
+/// saturated tasks back to back.
 fn batch() -> Vec<Experiment> {
     let policies = [
         Policy::Native,
         Policy::SfqD { depth: 4 },
         Policy::SfqD2(SfqD2Config::default()),
     ];
-    policies
+    let mut batch: Vec<Experiment> = policies
         .into_iter()
         .enumerate()
         .map(|(i, policy)| {
@@ -135,14 +57,31 @@ fn batch() -> Vec<Experiment> {
             }
             exp
         })
-        .collect()
+        .collect();
+    let streaming_device = DeviceSpec::Ideal {
+        bandwidth: 300e6,
+        latency: SimDuration::from_millis(2),
+    };
+    let mut streaming = Experiment::new(ClusterConfig {
+        nodes: 8,
+        hdfs_device: streaming_device.clone(),
+        scratch_device: streaming_device,
+        chunk: ibis_simcore::units::MIB,
+        read_window: 8,
+        ..observed_cluster(Policy::SfqD { depth: 4 }, 17)
+    });
+    streaming.add_job(terasort(2 * GIB).max_slots(16).io_weight(4.0));
+    streaming.add_job(wordcount(GIB).max_slots(16));
+    streaming.add_job(teragen(4 * GIB).max_slots(16));
+    batch.push(streaming);
+    batch
 }
 
 #[test]
 fn slab_and_hashmap_backends_byte_identical() {
     for exp in batch() {
-        let slab = canonical_full(&exp.run());
-        let hash = canonical_full(&exp.run_hashmap_reference());
+        let slab = canonical(&exp.run());
+        let hash = canonical(&exp.run_hashmap_reference());
         assert_eq!(slab, hash, "backends diverged");
     }
 }
@@ -150,11 +89,11 @@ fn slab_and_hashmap_backends_byte_identical() {
 #[test]
 fn backends_agree_through_parallel_sweep_at_jobs_2() {
     let runner = SweepRunner::with_jobs(2);
-    let slab: Vec<String> = runner.run_all(batch()).iter().map(canonical_full).collect();
+    let slab: Vec<String> = runner.run_all(batch()).iter().map(canonical).collect();
     let hash: Vec<String> = runner
         .map(batch(), |_, e| e.run_hashmap_reference())
         .iter()
-        .map(canonical_full)
+        .map(canonical)
         .collect();
     assert_eq!(slab, hash, "backends diverged under IBIS_JOBS=2 sweep");
 }

@@ -1,44 +1,25 @@
 //! Tracing determinism (ISSUE 8): causal tracing must be a pure
 //! *observer*. For the same experiment, `IBIS_TRACE` on vs off must
 //! produce **byte-identical** reports — with observability on (the
-//! recording now carries the extra lifecycle events, so the canon
-//! compares only trace-independent fields) and off (full canon), across
-//! the slab and `HashMap` side-table backends and across
-//! `IBIS_PARTITIONS ∈ {1, 4}`, clean and under the chaos schedule.
-//! The assembled trace itself must also be identical across backends
-//! and partition counts: it is a pure function of the event timeline.
+//! flight recording included, event by event) and off — clean and under
+//! the chaos schedule. Traced runs must also be byte-identical, assembled
+//! trace included, across the slab and `HashMap` side-table backends:
+//! the trace is a pure function of the event timeline.
 
+mod common;
+
+use common::{chaos_schedule, faults, ideal_cluster, Canon};
 use ibis_cluster::prelude::*;
 use ibis_core::SfqD2Config;
-use ibis_faults::{FaultSchedule, FaultsConfig};
+use ibis_faults::FaultsConfig;
 use ibis_metrics::MetricsConfig;
 use ibis_obs::ObsConfig;
 use ibis_simcore::units::GIB;
-use ibis_simcore::{SimDuration, SimTime};
+use ibis_simcore::SimDuration;
 use ibis_workloads::{teragen, terasort, wordcount};
-use std::fmt::Write as _;
 
-fn chaos_schedule(seed: u64) -> FaultSchedule {
-    FaultSchedule::new(seed)
-        .broker_outage(SimTime::from_secs(4), SimDuration::from_secs(4))
-        .drop_reports(SimTime::ZERO, SimDuration::from_secs(3600), 3)
-        .node_crash(1, SimTime::from_secs(6), Some(SimDuration::from_secs(4)))
-}
-
-fn observed_cluster(seed: u64, obs: bool, chaos: bool) -> ClusterConfig {
-    ClusterConfig {
-        nodes: 4,
-        cores_per_node: 4,
-        seed,
-        hdfs_device: DeviceSpec::Ideal {
-            bandwidth: 150e6,
-            latency: SimDuration::from_micros(300),
-        },
-        scratch_device: DeviceSpec::Ideal {
-            bandwidth: 150e6,
-            latency: SimDuration::from_micros(300),
-        },
-        auto_reference: false,
+fn experiment(seed: u64, obs: bool, chaos: bool, trace: bool) -> Experiment {
+    let mut cfg = ClusterConfig {
         obs: if obs {
             ObsConfig::enabled(1 << 18)
         } else {
@@ -46,122 +27,12 @@ fn observed_cluster(seed: u64, obs: bool, chaos: bool) -> ClusterConfig {
         },
         metrics: MetricsConfig::enabled(SimDuration::from_millis(500)),
         faults: if chaos {
-            FaultsConfig {
-                enabled: true,
-                schedule: chaos_schedule(0xFA17 ^ seed),
-                staleness_bound: SimDuration::from_secs(2),
-                retry_backoff: SimDuration::from_millis(100),
-                retry_limit: 3,
-            }
+            faults(chaos_schedule(0xFA17 ^ seed))
         } else {
             FaultsConfig::default()
         },
-        ..ClusterConfig::default()
-    }
-    .with_policy(Policy::SfqD2(SfqD2Config::default()))
-    .with_coordination(true)
-}
-
-/// The partition-determinism canon, with the observer outputs optional
-/// (the obs-off arm has no recording) and the trace-owned fields —
-/// `trace`, `engine_profile` — excluded alongside `wall_secs`,
-/// `par_windows`, `par_members`.
-fn canonical(r: &RunReport, with_recording: bool) -> String {
-    let mut s = String::new();
-    for j in &r.jobs {
-        writeln!(
-            s,
-            "job {} app={} sub={:?} fin={:?} rt={} map={} red={}",
-            j.name,
-            j.app.0,
-            j.submitted,
-            j.finished,
-            j.runtime.as_nanos(),
-            j.map_phase.as_nanos(),
-            j.reduce_phase.as_nanos(),
-        )
-        .unwrap();
-    }
-    let mut service: Vec<(u32, u64)> = r.app_service.iter().map(|(a, &b)| (a.0, b)).collect();
-    service.sort_unstable();
-    writeln!(s, "service {service:?}").unwrap();
-    let mut lat: Vec<(u32, Option<u64>)> = r
-        .app_latency
-        .iter()
-        .map(|(a, h)| (a.0, h.quantile(0.99)))
-        .collect();
-    lat.sort_unstable();
-    writeln!(s, "p99 {lat:?}").unwrap();
-    writeln!(
-        s,
-        "broker {:?} decisions {} makespan {} events {}",
-        r.broker,
-        r.sched_decisions,
-        r.makespan.as_nanos(),
-        r.events,
-    )
-    .unwrap();
-    writeln!(s, "faults {:?}", r.faults).unwrap();
-
-    if with_recording {
-        let rec = r.recording.as_ref().expect("recording enabled");
-        writeln!(s, "rec seen={} retained={}", rec.seen(), rec.len()).unwrap();
-        for e in rec.events() {
-            writeln!(s, "ev {:?} n{} d{} {:?}", e.at, e.node, e.dev, e.kind).unwrap();
-        }
-    }
-
-    let m = r.metrics.as_ref().expect("metrics enabled");
-    writeln!(s, "metrics samples={}", m.samples_taken).unwrap();
-    let mut series: Vec<&ibis_metrics::Series> = m.series.iter().collect();
-    series.sort_by(|a, b| (&a.key.name, a.key.labels).cmp(&(&b.key.name, b.key.labels)));
-    for sr in series {
-        write!(s, "series {} {:?}:", sr.key.name, sr.key.labels).unwrap();
-        for &(at, v) in &sr.points {
-            write!(s, " {:?}={:#x}", at, v.to_bits()).unwrap();
-        }
-        writeln!(s).unwrap();
-    }
-    s
-}
-
-/// Canonical text of the assembled trace itself: the attribution table
-/// and the span forest shape.
-fn canonical_trace(r: &RunReport) -> String {
-    let t = r.trace.as_ref().expect("trace assembled");
-    let mut s = String::new();
-    for a in &t.per_app {
-        writeln!(
-            s,
-            "app {} jobs={} measured={} swept={} comps={:?}",
-            a.app, a.jobs, a.measured_ns, a.swept_ns, a.components
-        )
-        .unwrap();
-    }
-    writeln!(
-        s,
-        "forest jobs={} unattached={}",
-        t.forest.jobs.len(),
-        t.forest.unattached.len()
-    )
-    .unwrap();
-    for j in &t.forest.jobs {
-        writeln!(
-            s,
-            "tree job={} app={} tasks={} reqs={} lat={}",
-            j.job,
-            j.app,
-            j.tasks.len(),
-            j.requests.len(),
-            j.latency_ns()
-        )
-        .unwrap();
-    }
-    s
-}
-
-fn experiment(seed: u64, obs: bool, chaos: bool, trace: bool, partitions: usize) -> Experiment {
-    let mut cfg = observed_cluster(seed, obs, chaos).with_partitions(partitions);
+        ..ideal_cluster(Policy::SfqD2(SfqD2Config::default()), seed)
+    };
     if trace {
         cfg = cfg.with_trace();
     }
@@ -175,49 +46,38 @@ fn experiment(seed: u64, obs: bool, chaos: bool, trace: bool, partitions: usize)
 #[test]
 fn tracing_on_and_off_byte_identical() {
     for (obs, chaos) in [(false, false), (true, false), (true, true)] {
-        let off = canonical(&experiment(42, obs, chaos, false, 1).run(), obs);
-        let on = canonical(&experiment(42, obs, chaos, true, 1).run(), obs);
+        let canon = Canon {
+            faults: chaos,
+            recording: obs,
+            metrics: true,
+            ..Canon::BASE
+        };
+        let off = canon.of(&experiment(42, obs, chaos, false).run());
+        let on = canon.of(&experiment(42, obs, chaos, true).run());
         assert_eq!(off, on, "tracing perturbed the report (obs={obs} chaos={chaos})");
     }
 }
 
 #[test]
-fn traced_runs_byte_identical_across_partitions_and_backends() {
+fn traced_runs_byte_identical_across_backends() {
     for chaos in [false, true] {
-        let serial = experiment(42, true, chaos, true, 1).run();
-        let canon = canonical(&serial, true);
-        let trace_canon = canonical_trace(&serial);
-        assert!(!trace_canon.is_empty());
-
-        let windowed = experiment(42, true, chaos, true, 4).run();
+        let canon = Canon {
+            faults: chaos,
+            trace: true,
+            ..Canon::OBSERVED
+        };
+        let exp = experiment(42, true, chaos, true);
         assert_eq!(
-            canon,
-            canonical(&windowed, true),
-            "traced run diverged between IBIS_PARTITIONS=1 and =4 (chaos={chaos})"
-        );
-        assert_eq!(
-            trace_canon,
-            canonical_trace(&windowed),
-            "assembled trace diverged across partition counts (chaos={chaos})"
-        );
-
-        let hash = experiment(42, true, chaos, true, 4).run_hashmap_reference();
-        assert_eq!(
-            canon,
-            canonical(&hash, true),
+            canon.of(&exp.run()),
+            canon.of(&exp.run_hashmap_reference()),
             "traced run diverged between slab and HashMap backends (chaos={chaos})"
-        );
-        assert_eq!(
-            trace_canon,
-            canonical_trace(&hash),
-            "assembled trace diverged across backends (chaos={chaos})"
         );
     }
 }
 
 #[test]
 fn traced_chaos_run_spans_stay_well_formed() {
-    let r = experiment(7, true, true, true, 1).run();
+    let r = experiment(7, true, true, true).run();
     let rec = r.recording.as_ref().expect("recording enabled");
     let (jobs, tasks, reqs) =
         ibis_trace::check_well_formed(rec).expect("span tree well-formed under chaos");

@@ -2,14 +2,16 @@
 //! multi-tenant mix — a Poisson batch tenant plus a FaaS-style burst
 //! tenant emitting over a thousand short jobs with cold-start spikes —
 //! must produce **byte-identical** reports across the slab and `HashMap`
-//! side-table backends and across `IBIS_PARTITIONS ∈ {1, 4}`. The
-//! canonical serialization extends the partition-determinism canon with
-//! the per-tenant section (arrival/completion counts and the latency
-//! histogram), so any nondeterminism in mid-run tenant registration,
-//! flow pooling, or arrival-event handling shows up as a text diff.
+//! side-table backends. The shared canon carries the per-tenant section
+//! (arrival/completion counts and the latency histogram), so any
+//! nondeterminism in mid-run tenant registration, flow pooling, or
+//! arrival-event handling shows up as a text diff.
 //! A chaos + JSONL-trace smoke run covers the `ibis-faults`
 //! compatibility requirement.
 
+mod common;
+
+use common::{faults, Canon};
 use ibis_cluster::prelude::*;
 use ibis_faults::{FaultSchedule, FaultsConfig};
 use ibis_metrics::MetricsConfig;
@@ -18,12 +20,10 @@ use ibis_simcore::{SimDuration, SimTime};
 use ibis_workgen::{
     burst_tenant, ArrivalProcess, BurstProfile, JobShape, MixConfig, TenantSpec,
 };
-use std::fmt::Write as _;
 
 /// The open-system scenario of the acceptance criteria: a Poisson batch
-/// tenant (heavy-tailed DFS-reading jobs — the I/O density that forms
-/// multi-partition windows) plus a burst tenant carrying ≥ 1000 short
-/// jobs with cold-start spikes.
+/// tenant (heavy-tailed DFS-reading jobs) plus a burst tenant carrying
+/// ≥ 1000 short jobs with cold-start spikes.
 fn open_mix(seed: u64) -> MixConfig {
     MixConfig::new(seed)
         .tenant(TenantSpec::new(
@@ -62,16 +62,12 @@ fn observed_cluster(seed: u64, chaos: bool) -> ClusterConfig {
         obs: ObsConfig::enabled(1 << 18),
         metrics: MetricsConfig::enabled(SimDuration::from_secs(5)),
         faults: if chaos {
-            FaultsConfig {
-                enabled: true,
-                schedule: FaultSchedule::new(0xFA17 ^ seed)
+            faults(
+                FaultSchedule::new(0xFA17 ^ seed)
                     .broker_outage(SimTime::from_secs(20), SimDuration::from_secs(10))
                     .drop_reports(SimTime::ZERO, SimDuration::from_secs(3600), 4)
                     .node_crash(1, SimTime::from_secs(40), Some(SimDuration::from_secs(8))),
-                staleness_bound: SimDuration::from_secs(2),
-                retry_backoff: SimDuration::from_millis(100),
-                retry_limit: 3,
-            }
+            )
         } else {
             FaultsConfig::default()
         },
@@ -79,119 +75,38 @@ fn observed_cluster(seed: u64, chaos: bool) -> ClusterConfig {
     }
 }
 
-/// The partition-determinism canon plus the per-tenant section. Excluded
-/// as there: `wall_secs`, `par_windows`, `par_members`.
-fn canonical_full(r: &RunReport) -> String {
-    let mut s = String::new();
-    for j in &r.jobs {
-        writeln!(
-            s,
-            "job {} app={} sub={:?} fin={:?} rt={}",
-            j.name,
-            j.app.0,
-            j.submitted,
-            j.finished,
-            j.runtime.as_nanos(),
-        )
-        .unwrap();
-    }
-    for t in &r.tenants {
-        write!(
-            s,
-            "tenant {} app={} w={} sub={} fin={} n={}",
-            t.name,
-            t.app.0,
-            t.weight,
-            t.submitted,
-            t.finished,
-            t.latency.count(),
-        )
-        .unwrap();
-        for q in [0.5, 0.9, 0.99, 1.0] {
-            write!(s, " q{q}={:?}", t.latency.quantile(q)).unwrap();
-        }
-        writeln!(s, " mean={:#x}", t.latency.mean().to_bits()).unwrap();
-    }
-    let mut service: Vec<(u32, u64)> = r.app_service.iter().map(|(a, &b)| (a.0, b)).collect();
-    service.sort_unstable();
-    writeln!(s, "service {service:?}").unwrap();
-    let mut lat: Vec<(u32, Option<u64>)> = r
-        .app_latency
-        .iter()
-        .map(|(a, h)| (a.0, h.quantile(0.99)))
-        .collect();
-    lat.sort_unstable();
-    writeln!(s, "p99 {lat:?}").unwrap();
-    writeln!(
-        s,
-        "broker {:?} decisions {} makespan {} events {}",
-        r.broker,
-        r.sched_decisions,
-        r.makespan.as_nanos(),
-        r.events,
-    )
-    .unwrap();
-    writeln!(s, "faults {:?}", r.faults).unwrap();
-
-    let rec = r.recording.as_ref().expect("recording enabled");
-    writeln!(s, "rec seen={} retained={}", rec.seen(), rec.len()).unwrap();
-    for e in rec.events() {
-        writeln!(s, "ev {:?} n{} d{} {:?}", e.at, e.node, e.dev, e.kind).unwrap();
-    }
-
-    let m = r.metrics.as_ref().expect("metrics enabled");
-    writeln!(s, "metrics samples={}", m.samples_taken).unwrap();
-    let mut series: Vec<&ibis_metrics::Series> = m.series.iter().collect();
-    series.sort_by(|a, b| (&a.key.name, a.key.labels).cmp(&(&b.key.name, b.key.labels)));
-    for sr in series {
-        write!(s, "series {} {:?}:", sr.key.name, sr.key.labels).unwrap();
-        for &(at, v) in &sr.points {
-            write!(s, " {:?}={:#x}", at, v.to_bits()).unwrap();
-        }
-        writeln!(s).unwrap();
-    }
-    s
+fn canonical(r: &RunReport) -> String {
+    Canon::OBSERVED.of(r)
 }
 
-fn open_experiment(seed: u64, chaos: bool, partitions: usize) -> Experiment {
-    let mut exp = Experiment::new(observed_cluster(seed, chaos).with_partitions(partitions));
+fn open_experiment(seed: u64, chaos: bool) -> Experiment {
+    let mut exp = Experiment::new(observed_cluster(seed, chaos));
     exp.add_mix(&open_mix(seed ^ 0x5eed));
     exp
 }
 
 #[test]
-fn open_system_run_is_byte_identical_across_partitions_and_backends() {
+fn open_system_run_is_byte_identical_across_backends() {
     let mix = open_mix(42 ^ 0x5eed);
     assert!(mix.total_jobs() >= 1000, "scenario must carry ≥1000 jobs");
 
-    let serial = open_experiment(42, false, 1).run();
-    assert_eq!(serial.tenants.len(), 2);
-    for t in &serial.tenants {
+    let exp = open_experiment(42, false);
+    let slab = exp.run();
+    assert_eq!(slab.tenants.len(), 2);
+    for t in &slab.tenants {
         assert_eq!(t.finished, t.submitted, "tenant {} lost jobs", t.name);
         assert!(t.latency_ms(0.5).is_some());
     }
-    let canon = canonical_full(&serial);
-
-    let windowed = open_experiment(42, false, 4).run();
-    assert!(
-        windowed.par_windows > 0,
-        "IBIS_PARTITIONS=4 never formed a multi-partition window"
-    );
     assert_eq!(
-        canon,
-        canonical_full(&windowed),
-        "open-system run diverged between IBIS_PARTITIONS=1 and =4"
-    );
-    assert_eq!(
-        canon,
-        canonical_full(&open_experiment(42, false, 4).run_hashmap_reference()),
+        canonical(&slab),
+        canonical(&exp.run_hashmap_reference()),
         "open-system run diverged between slab and HashMap backends"
     );
 }
 
 #[test]
 fn tenant_jobs_share_one_flow_and_pool_service() {
-    let r = open_experiment(7, false, 1).run();
+    let r = open_experiment(7, false).run();
     let batch = r.tenant("batch").expect("batch tenant reported");
     let faas = r.tenant("faas").expect("faas tenant reported");
     assert_ne!(batch.app, faas.app);
@@ -209,8 +124,7 @@ fn tenant_jobs_share_one_flow_and_pool_service() {
 }
 
 /// Chaos + JSONL-trace smoke: a replayed trace under the fault schedule
-/// still completes and stays byte-identical across partition counts and
-/// backends.
+/// still completes and stays byte-identical across backends.
 #[test]
 fn chaos_trace_replay_is_deterministic() {
     let trace = "\
@@ -221,27 +135,17 @@ fn chaos_trace_replay_is_deterministic() {
 {\"at\": 30.0, \"tenant\": \"adhoc\", \"maps\": 1, \"input\": \"gen\"}
 {\"at\": 55.0, \"tenant\": \"etl\", \"weight\": 4, \"maps\": 3, \"shuffle_ratio\": 0.8, \"reduces\": 1}
 ";
-    let build = |partitions: usize| {
-        let mut exp = Experiment::new(observed_cluster(11, true).with_partitions(partitions));
-        exp.add_trace(trace).expect("trace parses");
-        exp
-    };
-    let serial = build(1).run();
-    assert_eq!(serial.tenants.len(), 2);
-    let etl = serial.tenant("etl").expect("etl tenant reported");
+    let mut exp = Experiment::new(observed_cluster(11, true));
+    exp.add_trace(trace).expect("trace parses");
+    let slab = exp.run();
+    assert_eq!(slab.tenants.len(), 2);
+    let etl = slab.tenant("etl").expect("etl tenant reported");
     assert_eq!(etl.submitted, 3);
     assert_eq!(etl.finished, 3);
-    assert!(serial.faults.expect("chaos active").crashes > 0);
-
-    let canon = canonical_full(&serial);
+    assert!(slab.faults.as_ref().expect("chaos active").crashes > 0);
     assert_eq!(
-        canon,
-        canonical_full(&build(4).run()),
-        "chaos trace replay diverged between IBIS_PARTITIONS=1 and =4"
-    );
-    assert_eq!(
-        canon,
-        canonical_full(&build(4).run_hashmap_reference()),
+        Canon::CHAOS.of(&slab),
+        Canon::CHAOS.of(&exp.run_hashmap_reference()),
         "chaos trace replay diverged between backends"
     );
 }

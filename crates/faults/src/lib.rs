@@ -36,6 +36,8 @@
 //! disabled: the engine holds no fault state, schedules no events, and
 //! produces byte-identical results with the crate compiled in.
 
+#![forbid(unsafe_code)]
+
 use ibis_simcore::{SimDuration, SimTime};
 
 /// One scheduled fault. Times are virtual (simulation) times.

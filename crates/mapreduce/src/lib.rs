@@ -24,6 +24,7 @@
 //! * [`job`] — job/task lifecycle bookkeeping and sequential workflows
 //!   (Hive queries as chains of jobs).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fair;

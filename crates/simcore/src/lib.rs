@@ -17,6 +17,7 @@
 //! The crate is dependency-free by design: determinism of the published
 //! experiment numbers must not hinge on the internals of an external crate.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod metrics;
@@ -26,4 +27,4 @@ pub mod time;
 pub mod units;
 
 pub use queue::EventQueue;
-pub use time::{Lookahead, SimDuration, SimTime};
+pub use time::{SimDuration, SimTime};

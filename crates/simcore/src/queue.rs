@@ -131,58 +131,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// The full `(time, sequence)` ordering key of the next event without
-    /// removing it. Conservative-synchronization drivers use this to
-    /// decide whether the head may join the current execution window
-    /// before committing to a pop.
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        match (self.batch.front(), self.heap.first()) {
-            (Some(b), Some(h)) => Some(b.key().min(h.key())),
-            (Some(b), None) => Some(b.key()),
-            (None, Some(h)) => Some(h.key()),
-            (None, None) => None,
-        }
-    }
-
-    /// Pops the earliest event only if it is due **strictly before**
-    /// `horizon`; otherwise leaves the queue untouched and returns `None`.
-    ///
-    /// This is the primitive a conservative parallel executor builds on:
-    /// `horizon` is the lookahead bound (earliest instant at which any
-    /// event processed inside the current window could schedule a new
-    /// event), so everything popped through this method is causally
-    /// independent of the window's unprocessed effects.
-    pub fn pop_within(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? >= horizon {
-            return None;
-        }
-        self.pop()
-    }
-
-    /// Like [`pop_within`](Self::pop_within), but additionally lets the
-    /// caller veto the pop after inspecting the payload: the event is
-    /// popped only if it is due strictly before `horizon` **and** `admit`
-    /// returns true for it. A vetoed event stays queued, untouched — no
-    /// sequence number is consumed, so a deterministic driver can close
-    /// an execution window on an inadmissible head and re-encounter it
-    /// later exactly as a serial engine would.
-    pub fn pop_within_if(
-        &mut self,
-        horizon: SimTime,
-        admit: impl FnOnce(&E) -> bool,
-    ) -> Option<(SimTime, E)> {
-        let front = match (self.batch.front(), self.heap.first()) {
-            (Some(b), Some(h)) => Some(if b.key() < h.key() { b } else { h }),
-            (Some(b), None) => Some(b),
-            (None, Some(h)) => Some(h),
-            (None, None) => None,
-        }?;
-        if front.at >= horizon || !admit(&front.event) {
-            return None;
-        }
-        self.pop()
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len() + self.batch.len()
@@ -381,32 +329,16 @@ mod tests {
     }
 
     #[test]
-    fn peek_key_orders_batch_against_heap() {
+    fn heap_resident_event_precedes_later_batch_lane_push() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_secs(5), "heap-early");
         q.push(SimTime::from_secs(5), "x");
         q.pop(); // clock at 5; "x" (seq 1) still heap-resident
         q.push(SimTime::from_secs(5), "batch-late");
         // The heap-resident seq-1 event precedes the batch-lane seq-2 one.
-        assert_eq!(q.peek_key(), Some((SimTime::from_secs(5), 1)));
         assert_eq!(q.pop().unwrap().1, "x");
-        assert_eq!(q.peek_key(), Some((SimTime::from_secs(5), 2)));
-    }
-
-    #[test]
-    fn pop_within_respects_horizon() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(1), "a");
-        q.push(SimTime::from_secs(2), "b");
-        q.push(SimTime::from_secs(3), "c");
-        let horizon = SimTime::from_secs(2);
-        assert_eq!(q.pop_within(horizon).unwrap().1, "a");
-        // "b" is at exactly the horizon: strictly-before excludes it.
-        assert_eq!(q.pop_within(horizon), None);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop_within(SimTime::from_secs(10)).unwrap().1, "b");
-        assert_eq!(q.pop().unwrap().1, "c");
-        assert_eq!(q.pop_within(SimTime::MAX), None);
+        assert_eq!(q.pop().unwrap().1, "batch-late");
+        assert!(q.is_empty());
     }
 
     #[test]

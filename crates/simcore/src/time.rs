@@ -138,54 +138,6 @@ impl SimDuration {
     }
 }
 
-/// A conservative lookahead bound: the minimum delay between *processing*
-/// an event and the earliest instant at which that processing can
-/// *schedule* a new event.
-///
-/// Conservative parallel DES (DESIGN.md §14) executes a window of already
-/// queued events concurrently; the window is safe exactly when it ends
-/// before `start + lookahead`, because then nothing processed inside it
-/// can inject an event that lands inside it. A zero lookahead admits no
-/// window (the horizon collapses onto the start instant), which degrades
-/// to serial execution rather than to incorrectness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Lookahead(SimDuration);
-
-impl Lookahead {
-    /// The degenerate zero bound: no window is ever admitted.
-    pub const ZERO: Lookahead = Lookahead(SimDuration::ZERO);
-
-    /// A lookahead of `bound`.
-    pub const fn new(bound: SimDuration) -> Self {
-        Lookahead(bound)
-    }
-
-    /// The underlying duration.
-    pub const fn bound(self) -> SimDuration {
-        self.0
-    }
-
-    /// Tightens this bound with another source of scheduled events: the
-    /// combined lookahead is the minimum of the two.
-    #[must_use]
-    pub fn meet(self, other: Lookahead) -> Lookahead {
-        Lookahead(self.0.min(other.0))
-    }
-
-    /// The exclusive horizon of a window opening at `start`: events due
-    /// strictly before it are causally independent of the window's own
-    /// effects. Saturates at [`SimTime::MAX`].
-    pub fn horizon(self, start: SimTime) -> SimTime {
-        start + self.0
-    }
-
-    /// Whether an event at `at` may still join a window opened at
-    /// `start` (strictly inside the horizon).
-    pub fn admits(self, start: SimTime, at: SimTime) -> bool {
-        at < self.horizon(start)
-    }
-}
-
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
@@ -327,33 +279,6 @@ mod tests {
         assert_eq!(format!("{}", SimDuration::from_micros(12)), "12.0us");
         assert_eq!(format!("{}", SimDuration::from_millis(12)), "12.00ms");
         assert_eq!(format!("{}", SimDuration::from_secs(12)), "12.000s");
-    }
-
-    #[test]
-    fn lookahead_horizon_and_meet() {
-        let la = Lookahead::new(SimDuration::from_millis(3));
-        let start = SimTime::from_secs(1);
-        assert_eq!(la.horizon(start), SimTime::from_nanos(1_003_000_000));
-        assert!(la.admits(start, start));
-        assert!(la.admits(start, SimTime::from_nanos(1_002_999_999)));
-        // The horizon itself is excluded.
-        assert!(!la.admits(start, SimTime::from_nanos(1_003_000_000)));
-        let tighter = la.meet(Lookahead::new(SimDuration::from_millis(1)));
-        assert_eq!(tighter.bound(), SimDuration::from_millis(1));
-        assert_eq!(la.meet(Lookahead::ZERO), Lookahead::ZERO);
-    }
-
-    #[test]
-    fn zero_lookahead_admits_nothing() {
-        let start = SimTime::from_secs(2);
-        assert!(!Lookahead::ZERO.admits(start, start));
-        assert_eq!(Lookahead::ZERO.horizon(start), start);
-    }
-
-    #[test]
-    fn lookahead_horizon_saturates() {
-        let la = Lookahead::new(SimDuration::MAX);
-        assert_eq!(la.horizon(SimTime::from_secs(1)), SimTime::MAX);
     }
 
     #[test]

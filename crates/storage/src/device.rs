@@ -63,19 +63,6 @@ pub trait Device {
     /// Running totals.
     fn stats(&self) -> DeviceStats;
 
-    /// A conservative lower bound on the service time of **any** request
-    /// this device can ever start: every [`Started::complete_at`] the
-    /// model emits at instant `t` satisfies `complete_at >= t + floor`.
-    ///
-    /// This is the per-device lookahead the partitioned cluster engine
-    /// derives its execution windows from (DESIGN.md §14), so it must be
-    /// sound, not tight: a model with no hard latency floor (the HDD,
-    /// whose write-back cache absorbs arbitrarily small writes at memory
-    /// speed) must return [`SimDuration::ZERO`], which disables windowing
-    /// on that device rather than corrupting the event order.
-    fn service_floor(&self) -> SimDuration {
-        SimDuration::ZERO
-    }
 }
 
 /// An idealised device: unlimited internal concurrency, fixed per-request
@@ -151,10 +138,6 @@ impl Device for Ideal {
         self.stats
     }
 
-    fn service_floor(&self) -> SimDuration {
-        // Every service is `latency + transfer`, and transfer is ≥ 0.
-        self.latency
-    }
 }
 
 /// Enum wrapper so a node can own any device model without boxing.
@@ -217,13 +200,6 @@ impl Device for DeviceModel {
         }
     }
 
-    fn service_floor(&self) -> SimDuration {
-        match self {
-            DeviceModel::Hdd(d) => d.service_floor(),
-            DeviceModel::Ssd(d) => d.service_floor(),
-            DeviceModel::Ideal(d) => d.service_floor(),
-        }
-    }
 }
 
 /// Internal FIFO of accepted-but-waiting requests, shared by the HDD and
@@ -312,25 +288,6 @@ mod tests {
         assert_eq!(s.bytes_written, 0);
         assert_eq!(s.completed, 1);
         assert_eq!(s.busy, SimDuration::from_secs(1));
-    }
-
-    #[test]
-    fn service_floor_bounds_every_service() {
-        let lat = SimDuration::from_micros(250);
-        let mut d = Ideal::new(100e6, lat);
-        assert_eq!(d.service_floor(), lat);
-        let mut out = Vec::new();
-        let now = SimTime::from_secs(1);
-        d.submit(req(1, IoKind::Read, 1), now, &mut out);
-        d.submit(req(2, IoKind::Write, 0), now, &mut out);
-        for s in &out {
-            assert!(s.complete_at >= now + d.service_floor());
-        }
-        // The enum wrapper forwards the model's floor.
-        let m = DeviceModel::Ideal(Ideal::new(1e6, lat));
-        assert_eq!(m.service_floor(), lat);
-        let h = DeviceModel::Hdd(crate::Hdd::new(crate::HddConfig::default()));
-        assert_eq!(h.service_floor(), SimDuration::ZERO);
     }
 
     #[test]

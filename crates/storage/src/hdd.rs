@@ -276,11 +276,6 @@ impl Device for Hdd {
         self.stats
     }
 
-    // `service_floor` stays at the trait default of zero: a write
-    // absorbed by the write-back cache is serviced in
-    // `bytes / cache_bw`, which has no fixed lower bound, so the HDD
-    // offers no usable lookahead (DESIGN.md §14 degrades to serial
-    // windows on HDD-backed devices).
 }
 
 #[cfg(test)]

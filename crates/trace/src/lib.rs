@@ -13,23 +13,20 @@
 //!   exactly one bucket).
 //! * **Critical paths** ([`critical_path`]): the dependency chain that
 //!   bounds a DAG's makespan.
-//! * **Engine self-profile** ([`profile`]): simulator wall clock
-//!   attributed to window formation / parallel device plane / serial
-//!   apply phases.
 //!
 //! Like `ibis-obs` and `ibis-metrics`, tracing is **zero-cost when off**
 //! and non-perturbing: the engine emits the same events whenever a
 //! recorder runs, assembly happens after the run, and reports are
 //! byte-identical with tracing on or off.
 
+#![forbid(unsafe_code)]
+
 pub mod attribution;
 pub mod critical_path;
-pub mod profile;
 pub mod span;
 
 pub use attribution::{attribute, check, AppAttribution, AttributionCheck, COMPONENTS};
 pub use critical_path::{critical_path, CpNode, CriticalPath};
-pub use profile::EngineProfile;
 pub use span::{build_forest, check_well_formed, JobTree, RequestSpan, SpanForest, TaskSpan};
 
 use ibis_obs::Recording;

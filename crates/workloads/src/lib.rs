@@ -13,6 +13,7 @@
 //!   with the paper's data volumes (Q9: 53 GB in, ~120 GB intermediate,
 //!   5 KB out; Q21: 45 GB in, ~40 GB intermediate, 2.6 GB out; §7.4).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod standard;
